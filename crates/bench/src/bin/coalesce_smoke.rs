@@ -1,4 +1,4 @@
-//! `coalesce_smoke` — the CI gate for the v2 cross-request coalescer.
+//! `coalesce_smoke` — the CI gate for cross-request staging.
 //!
 //! Two phases, both against in-process pools (no sockets — the wire is
 //! `rpc_smoke`'s job):
@@ -9,11 +9,12 @@
 //!    gang). The per-request samples must be bit-identical and the FNV
 //!    digests equal: gang packing is a scheduling decision, never a
 //!    value decision. The coalesced run must then replay bit-exactly
-//!    offline from `(seed, trace, width, dispatch log)`.
-//! 2. **Stealing**: a hot-profile trace at two threads with stealing
-//!    on leaves one shard idle; the run must record actual steals and
-//!    still replay bit-exactly from the dispatch log, which attributes
-//!    every stolen gang to the thief.
+//!    offline from `(seed, trace, width, dispatch log)` and from the
+//!    passthrough schedule (an empty dispatch log).
+//! 2. **Stealing**: a stalled shard at two threads with stealing on
+//!    leaves its queue to the idle sibling; the run must record actual
+//!    steals and still replay bit-exactly from the dispatch log, which
+//!    attributes every stolen gang to the thief.
 //!
 //! Any violation exits non-zero; a watchdog kills a wedged run (exit
 //! 3). `--requests N` and `--seed S` are accepted for local runs.
@@ -25,7 +26,7 @@ use std::time::Duration;
 
 use ctgauss_core::{CtSampler, SamplerSpec};
 use ctgauss_pool::{
-    replay_coalesced, CoalesceConfig, FaultPlan, LaneWidth, Pool, ProfileId, SampleRequest,
+    replay, CoalesceConfig, DispatchRecord, FaultPlan, LaneWidth, Pool, ProfileId, SampleRequest,
     TraceEntry,
 };
 use ctgauss_prng::{RandomSource, SeedTree, SplitMix64};
@@ -56,7 +57,7 @@ fn build_profiles() -> Vec<Arc<CtSampler>> {
 
 struct Run {
     live: Vec<Vec<i32>>,
-    dispatch: Vec<Vec<ctgauss_pool::DispatchRecord>>,
+    dispatch: Vec<Vec<DispatchRecord>>,
     steals: u64,
     gangs: u64,
 }
@@ -124,7 +125,9 @@ fn checksum(runs: &[Vec<i32>]) -> u64 {
     digest.value()
 }
 
-/// Offline replay of a recorded run; errs on the first diverging seq.
+/// Offline replay of a recorded run from `dispatch` (the run's own log,
+/// or empty for the passthrough schedule); errs on the first diverging
+/// seq.
 fn assert_replays(
     phase: &str,
     seed: u64,
@@ -132,14 +135,16 @@ fn assert_replays(
     width: LaneWidth,
     trace: &[TraceEntry],
     run: &Run,
+    dispatch: &[Vec<DispatchRecord>],
 ) -> Result<(), String> {
-    let replayed = replay_coalesced(
+    let replayed = replay(
         &SeedTree::from_u64_seed(seed),
         shared,
+        run.dispatch.len(),
         width,
         trace,
         &[],
-        &run.dispatch,
+        dispatch,
     );
     for (seq, (got, want)) in run.live.iter().zip(&replayed).enumerate() {
         if Some(got) != want.as_ref() {
@@ -192,7 +197,24 @@ fn equivalence_phase(shared: &[Arc<CtSampler>], requests: usize, seed: u64) -> R
             coalesced.gangs, passthrough.gangs
         ));
     }
-    assert_replays("equivalence", seed, shared, width, &trace, &coalesced)?;
+    assert_replays(
+        "equivalence",
+        seed,
+        shared,
+        width,
+        &trace,
+        &coalesced,
+        &coalesced.dispatch,
+    )?;
+    assert_replays(
+        "equivalence (passthrough schedule)",
+        seed,
+        shared,
+        width,
+        &trace,
+        &coalesced,
+        &[],
+    )?;
     println!(
         "coalesce_smoke: equivalence ok ({requests} tiny requests, checksum {on:016x}, \
          {} gangs coalesced vs {} passthrough, replay exact)",
@@ -208,8 +230,9 @@ fn equivalence_phase(shared: &[Arc<CtSampler>], requests: usize, seed: u64) -> R
 /// replay burden.
 fn steal_phase(shared: &[Arc<CtSampler>], _requests: usize, seed: u64) -> Result<(), String> {
     let width = LaneWidth::W1;
-    // Full-gang requests on profile 0 only: everything homes on shard 0
-    // (home = profile mod threads), so worker 1 has no work of its own.
+    // Full-gang requests: every one dispatches at once, alternating
+    // between the shards (home = seq mod threads). Worker 1 drains its
+    // own half quickly and then finds only stalled shard 0's queue.
     let trace: Vec<TraceEntry> = (0..40)
         .map(|_| TraceEntry {
             profile_index: 0,
@@ -284,7 +307,7 @@ fn steal_phase(shared: &[Arc<CtSampler>], _requests: usize, seed: u64) -> Result
     if thieved == 0 {
         return Err("steals counted but the dispatch log attributes none to the thief".into());
     }
-    assert_replays("steal", seed, shared, width, &trace, &run)?;
+    assert_replays("steal", seed, shared, width, &trace, &run, &run.dispatch)?;
     println!(
         "coalesce_smoke: steal ok ({} requests, {} steals, {} gangs served by the thief, \
          replay exact)",

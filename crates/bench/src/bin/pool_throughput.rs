@@ -192,15 +192,15 @@ fn main() {
     report.write().expect("write BENCH_pool_throughput.json");
 }
 
-/// The coalescing acceptance experiment: a mixed-profile stream of tiny
-/// requests (the LWE-encryption shape — a handful of noise samples per
-/// call) measured twice, against [`CoalesceConfig::passthrough`] (every
-/// request its own gang, the v1 dispatch shape) and against the staging
-/// coalescer. The kernel only ever runs full `64·W`-sample batches, so
-/// `dispatch_fill_ratio` — fresh draws / batch capacity — is the
-/// fraction of constant-time work that served a caller. Fill ratios and
-/// staging-wait percentiles go into the artifact; ratios are
-/// informational to the regression gate, `_ms` keys warn-only.
+/// The staging experiment: a mixed-profile stream of tiny requests (the
+/// LWE-encryption shape — a handful of noise samples per call) measured
+/// twice, against [`CoalesceConfig::passthrough`] (every request its own
+/// gang) and against the staging coalescer. Kernel batches are the same
+/// in both modes — the per-(shard, profile) carry already runs only
+/// full `64·W`-sample batches — so what staging moves is gangs per
+/// request: engine passes, ring pushes, and worker wakeups. Gangs per
+/// request and staging-wait percentiles go into the artifact; the ratio
+/// is informational to the regression gate, `_ms` keys warn-only.
 fn tiny_request_sweep(report: &mut BenchReport, smoke: bool) {
     println!("\ntiny-request coalescing (3 profiles, n = 16, W1, 1 thread):");
     let profiles_shared: Vec<_> = [("2", 16u32), ("6.15543", 16), ("1.5", 16)]
@@ -214,7 +214,6 @@ fn tiny_request_sweep(report: &mut BenchReport, smoke: bool) {
     let requests = if smoke { 1536 } else { 6144 };
     let mut rows = Vec::new();
     for count in [1usize, 8, 64] {
-        let mut fills = Vec::new();
         for (mode, coalesce) in [
             ("baseline", CoalesceConfig::passthrough()),
             (
@@ -255,10 +254,12 @@ fn tiny_request_sweep(report: &mut BenchReport, smoke: bool) {
             }
             let secs = start.elapsed().as_secs_f64();
             let metrics = pool.metrics();
-            let fill = metrics
-                .gauge("pool", "dispatch_fill_ratio")
-                .expect("dispatch_fill_ratio gauge");
-            report.metric(format!("tiny_c{count}_{mode}_batch_fill_ratio"), fill);
+            let counter = |name| metrics.counter("pool", name).unwrap_or(0);
+            let gangs_per_request = counter("gangs_flushed") as f64 / requests as f64;
+            report.metric(
+                format!("tiny_c{count}_{mode}_gangs_per_request"),
+                gangs_per_request,
+            );
             let staging = metrics.histogram("pool", "staging_wait_ns").map(|h| {
                 let (p50, p99) = (
                     h.percentile(0.5) as f64 / 1e6,
@@ -268,32 +269,24 @@ fn tiny_request_sweep(report: &mut BenchReport, smoke: bool) {
                 report.metric(format!("tiny_c{count}_{mode}_staging_p99_ms"), p99);
                 (p50, p99)
             });
-            fills.push(fill);
             rows.push(vec![
                 count.to_string(),
                 mode.to_string(),
-                format!("{fill:.3}"),
+                format!("{gangs_per_request:.4}"),
+                counter("batches_total").to_string(),
                 staging.map_or("-".into(), |(p50, _)| format!("{p50:.3}")),
                 staging.map_or("-".into(), |(_, p99)| format!("{p99:.3}")),
                 format!("{secs:.3}"),
                 format!("{checksum:016x}"),
             ]);
         }
-        // The acceptance bar: tiny requests (count <= 8) must coalesce
-        // to >= 0.9 fill where the uncoalesced pool is stuck at
-        // count/64. Printed loudly; the CI coalesce-smoke job asserts.
-        if count <= 8 && fills[1] < 0.9 {
-            println!(
-                "WARNING: count {count} coalesced fill {:.3} below the 0.9 target",
-                fills[1]
-            );
-        }
     }
     print_table(
         &[
             "count",
             "mode",
-            "fill",
+            "gangs/req",
+            "batches",
             "stage p50 ms",
             "stage p99 ms",
             "seconds",

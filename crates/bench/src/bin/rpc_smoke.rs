@@ -18,8 +18,9 @@
 //! 3. **Coalesce**: a windowed pipelined stream of tiny mixed-profile
 //!    requests against a coalescing pool, with a profile hot-loaded
 //!    over the wire before the load and retired after it; every
-//!    response verifies bit-exactly against the clean coalesced replay
-//!    oracle, and the fill gauge must prove staging actually happened.
+//!    response verifies bit-exactly against the passthrough-schedule
+//!    replay, and fewer gangs than requests must prove staging actually
+//!    happened.
 //! 4. **Drain**: hammer the server from several connections, shut it
 //!    down mid-load, and demand [`DrainReport::lossless`] — every
 //!    accepted request resolved to exactly one outcome.
@@ -37,8 +38,8 @@ use ctgauss_core::{CtSampler, SamplerSpec};
 use ctgauss_pool::{CoalesceConfig, FaultPlan, LaneWidth, Pool, ProfileId, FAULTS_ENV};
 use ctgauss_prng::{RandomSource, SplitMix64};
 use ctgauss_rpc_client::harness::{
-    arm_watchdog, build_standard_profiles, gen_trace, run_load, verify_replay,
-    verify_replay_coalesced, FnvChecksum, LoadOptions, RequestOutcome, TraceLine,
+    arm_watchdog, build_standard_profiles, gen_trace, run_load, verify_replay_coalesced,
+    FnvChecksum, LoadOptions, RequestOutcome, TraceLine,
 };
 use ctgauss_rpc_client::{Client, ConnectOptions};
 use ctgauss_rpc_core::{CodecKind, ErrorKind};
@@ -135,7 +136,7 @@ fn plain_leg(cfg: &Config, shared: &[Arc<CtSampler>], trace: &[TraceLine]) -> Re
             trace.len()
         ));
     }
-    let verify = verify_replay(cfg.seed, &audit, &report.outcomes, shared);
+    let verify = verify_replay_coalesced(cfg.seed, &audit, &report.outcomes, shared);
     if !verify.ok() {
         return Err(format!(
             "plain leg replay mismatch: {}/{} responses diverged",
@@ -146,13 +147,14 @@ fn plain_leg(cfg: &Config, shared: &[Arc<CtSampler>], trace: &[TraceLine]) -> Re
     // Checksum cross-check: fold the offline replay in trace order and
     // demand the wire run produced the identical digest.
     let offline_checksum = {
-        let offline = ctgauss_pool::replay_trace(
+        let offline = ctgauss_pool::replay(
             &ctgauss_prng::SeedTree::from_u64_seed(cfg.seed),
             shared,
             audit.threads as usize,
             audit.width().expect("valid width"),
             &audit.trace_entries(),
             &audit.failure_events(),
+            &[],
         );
         let mut checksum = FnvChecksum::new();
         for samples in offline.iter().flatten() {
@@ -247,7 +249,7 @@ fn chaos_leg(cfg: &Config, shared: &[Arc<CtSampler>], trace: &[TraceLine]) -> Re
         let audit = client
             .replay_audit(RPC_TIMEOUT)
             .map_err(|e| e.to_string())?;
-        let verify = verify_replay(cfg.seed, &audit, &report.outcomes, shared);
+        let verify = verify_replay_coalesced(cfg.seed, &audit, &report.outcomes, shared);
         if verify.ok() {
             drop(client);
             let drain = server.shutdown();
@@ -273,11 +275,11 @@ fn chaos_leg(cfg: &Config, shared: &[Arc<CtSampler>], trace: &[TraceLine]) -> Re
 }
 
 /// Leg 3: cross-request coalescing over the wire. A windowed pipelined
-/// stream of tiny mixed-profile requests — the shape the v2 coalescer
-/// exists for — runs against a server whose pool stages submissions
-/// into gangs (stealing off), with a fourth profile hot-loaded over the
-/// wire before the load and retired after it. Every response must
-/// verify bit-exactly against the clean coalesced replay oracle, which
+/// stream of tiny mixed-profile requests — the shape staging exists
+/// for — runs against a server whose pool stages submissions into gangs
+/// (stealing off), with a fourth profile hot-loaded over the wire before
+/// the load and retired after it. Every response must verify
+/// bit-exactly against the passthrough-schedule replay, which
 /// re-derives each request purely from its position in the per-(shard,
 /// profile) draw stream: proof that gang packing never leaks into
 /// sample values end to end.
@@ -379,25 +381,23 @@ fn coalesce_leg(cfg: &Config, shared: &[Arc<CtSampler>]) -> Result<(), String> {
         ));
     }
 
-    // The coalescer must actually have coalesced: the stats gauge
-    // reports kernel-batch fill from fresh draws, and tiny requests
-    // without staging cannot exceed 8/64.
+    // Staging must actually have ganged requests: without it every
+    // request is its own gang (one engine pass each).
     let stats = client.stats(RPC_TIMEOUT).map_err(|e| e.to_string())?;
     let json = ctgauss_telemetry::json::Json::parse(&stats)
         .map_err(|e| format!("stats endpoint returned unparseable JSON: {e:?}"))?;
-    let fill = json
-        .get("pool")
-        .and_then(|p| p.get("dispatch_fill_ratio"))
-        .and_then(|v| v.as_f64())
-        .ok_or("stats JSON missing pool.dispatch_fill_ratio")?;
-    let gangs = json
-        .get("pool")
-        .and_then(|p| p.get("gangs_flushed"))
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    if fill <= 8.0 / 64.0 {
+    let pool_counter = |name: &str| {
+        json.get("pool")
+            .and_then(|p| p.get(name))
+            .and_then(|v| v.as_f64())
+            .ok_or(format!("stats JSON missing pool.{name}"))
+    };
+    let gangs = pool_counter("gangs_flushed")?;
+    let requests = pool_counter("requests_total")?;
+    let gangs_per_request = gangs / requests.max(1.0);
+    if gangs_per_request >= 1.0 {
         return Err(format!(
-            "dispatch_fill_ratio {fill:.3} is no better than uncoalesced tiny requests"
+            "{gangs} gangs for {requests} requests: staging ganged nothing"
         ));
     }
 
@@ -419,10 +419,11 @@ fn coalesce_leg(cfg: &Config, shared: &[Arc<CtSampler>]) -> Result<(), String> {
     let drain = server.shutdown();
     expect_lossless("coalesce", &drain)?;
     println!(
-        "rpc_smoke: coalesce ok ({} tiny requests, fill {:.3}, {} gangs, {} compared)",
+        "rpc_smoke: coalesce ok ({} tiny requests, {} gangs, {:.3} gangs/request, \
+         {} compared)",
         trace.len(),
-        fill,
         gangs,
+        gangs_per_request,
         verify.compared
     );
     Ok(())

@@ -9,7 +9,8 @@
 //! submission sequence numbers were abandoned (their tickets resolved to
 //! `WorkerGone`), and whether the shard was resurrected into a fresh
 //! epoch stream or degraded for good. **(seed, trace, failure-log)** is
-//! a complete replay triple — see [`replay_trace`](crate::replay_trace).
+//! a complete replay triple for passthrough pools — see
+//! [`replay`](crate::replay).
 //!
 //! [`Pool::health`](crate::Pool::health) snapshots the live view: which
 //! shards are serving, restarting, or dead, and how much work each
@@ -22,8 +23,9 @@ use crate::ring::lock_recover;
 /// Liveness of one shard's worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardState {
-    /// The worker is serving; its stream is `fork_chacha_epoch(w, epoch)`
-    /// (epoch 0 is the canonical `fork_chacha(w)` stream).
+    /// The worker is serving; profile `p` draws from
+    /// `fork_subtree(w).fork_chacha_epoch(p, epoch)` (epoch 0 is the
+    /// canonical `fork_chacha(p)` stream).
     Alive {
         /// The epoch whose stream the worker draws from.
         epoch: u64,
@@ -83,8 +85,9 @@ impl PoolHealth {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureOutcome {
     /// A replacement worker was spawned on the shard, drawing from the
-    /// fresh domain-separated stream `fork_chacha_epoch(worker, new_epoch)`
-    /// with the dead worker's carry discarded.
+    /// fresh domain-separated streams
+    /// `fork_subtree(worker).fork_chacha_epoch(profile, new_epoch)` with
+    /// the dead worker's carries discarded.
     Restarted {
         /// The epoch the replacement draws from.
         new_epoch: u64,
@@ -104,9 +107,9 @@ pub struct FailureEvent {
     pub worker: usize,
     /// The epoch whose stream ended with this death.
     pub epoch: u64,
-    /// The shard's *lifetime* fulfilled-request count at death — in
-    /// replay, the first `fulfilled` of the shard's sequence numbers were
-    /// served normally (across all epochs so far) before this failure.
+    /// The shard's *lifetime* served-request count at death — in replay,
+    /// the shard served this many requests (gang members, across all
+    /// epochs so far) before this failure.
     pub fulfilled: u64,
     /// Submission sequence numbers abandoned by this death (claimed but
     /// unserved jobs; plus, on budget exhaustion, everything purged from

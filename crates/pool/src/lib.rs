@@ -11,23 +11,26 @@
 //!   handle (an `Arc<CtSampler>` shared via
 //!   [`SamplerSpec::build_shared`](ctgauss_core::SamplerSpec) — the
 //!   Figure-4 pipeline runs once, not once per worker), reusable
-//!   `BatchScratch`, and an independent PRNG stream forked from one
-//!   [`SeedTree`](ctgauss_prng::SeedTree) by worker index.
-//! * Requests ([`SampleRequest`]: sigma-profile id + count) flow through
-//!   bounded per-shard rings with round-robin assignment by submission
-//!   sequence number; a full ring blocks submitters (backpressure).
-//!   Responses come back through [`Ticket`]s or the blocking
-//!   [`Pool::sample_into`] / [`Pool::sample_vec`].
-//! * Workers coalesce: the kernel only ever runs full `64 * W`-sample
-//!   batches, and leftovers carry over to the next request — so small
-//!   requests cost a fraction of a batch, not a whole one, and no
-//!   randomness is discarded.
-//! * Determinism: a single-profile pool with `threads = 1` reproduces
-//!   the scalar [`CtSampler::sample_into`](ctgauss_core::CtSampler)
-//!   stream over the worker's forked generator bit for bit (any width);
-//!   for any `(threads, width, profiles)` the full response set is a
-//!   pure function of (seed, request trace). Tested in
-//!   `tests/determinism.rs`.
+//!   `BatchScratch`, and one independent PRNG stream per profile, forked
+//!   from one [`SeedTree`](ctgauss_prng::SeedTree) by (worker, profile).
+//! * Requests ([`SampleRequest`]: sigma-profile id + count) pass one
+//!   submission lane that assigns sequence numbers; request `seq` goes
+//!   to shard `seq % threads` through a bounded ring, and a full ring
+//!   blocks submitters (backpressure). [`CoalesceConfig`] optionally
+//!   stages a shard's tiny requests into one engine pass. Responses
+//!   come back through [`Ticket`]s or the blocking [`Pool::sample_into`]
+//!   / [`Pool::sample_vec`].
+//! * Workers share batches: the kernel only ever runs full
+//!   `64 * W`-sample batches, and leftovers carry over to the next
+//!   request of the same profile — so small requests cost a fraction of
+//!   a batch, not a whole one, and no randomness is discarded.
+//! * Determinism: with `threads = 1` the pool reproduces, per profile
+//!   `p`, the scalar [`CtSampler::sample_into`](ctgauss_core::CtSampler)
+//!   stream over `seeds.fork_subtree(0).fork_chacha(p)` bit for bit (any
+//!   width); for any `(threads, width, profiles)` the full response set
+//!   is a pure function of (seed, request trace), and [`replay`]
+//!   reconstructs it offline — worker deaths and work stealing
+//!   included. Tested in `tests/determinism.rs`.
 //! * [`PooledBase`] plugs the service into the Falcon signing path as a
 //!   drop-in [`BaseSampler`](ctgauss_falcon::sign::BaseSampler).
 //!
@@ -74,6 +77,6 @@ pub use registry::ProfileInfo;
 // Re-exported so pool consumers read `Pool::metrics()` without naming
 // the telemetry crate themselves.
 pub use ctgauss_telemetry::{HistogramSnapshot, MetricsSnapshot};
-pub use replay::{replay_coalesced, replay_coalesced_clean, replay_trace, TraceEntry};
+pub use replay::{replay, TraceEntry};
 pub use retry::{submit_with_retry, Backoff, RetryPolicy};
 pub use supervisor::RestartPolicy;

@@ -10,17 +10,13 @@ use ctgauss_prng::SeedTree;
 
 use ctgauss_telemetry::MetricsSnapshot;
 
-use crate::coalesce::{CoalesceConfig, Coalescer, DispatchLog, DispatchRecord};
+use crate::coalesce::{CoalesceConfig, Coalescer, DispatchLog, DispatchRecord, Wait};
 use crate::fault::FaultPlan;
 use crate::health::{AbandonLog, FailureEvent, FailureLog, HealthBoard, PoolHealth, ShardState};
 use crate::registry::{ProfileInfo, ProfileRegistry, ProfileSource};
-use crate::ring::{
-    lock_recover, wait_recover, wait_timeout_recover, PushTimeoutError, Ring, TryPushError,
-};
+use crate::ring::{lock_recover, wait_recover, wait_timeout_recover, Ring};
 use crate::supervisor::{DeathNotice, Event, RestartPolicy, Supervisor, SupervisorShared};
-use crate::worker::{
-    epoch_streams, spawn_worker, Job, Member, StreamMode, WorkerContext, WorkerStats,
-};
+use crate::worker::{spawn_worker, Job, WorkerContext, WorkerStats};
 
 /// Lane-block width each worker executes the compiled kernel at:
 /// `64 * lanes()` samples per kernel pass.
@@ -74,8 +70,8 @@ pub struct ProfileId {
 impl ProfileId {
     /// The profile's index in registration order — the pool-independent
     /// half of the id, which is what a recorded request trace stores so
-    /// that [`replay_trace`](crate::replay_trace) (and a rebuilt pool)
-    /// can resolve the same profile later.
+    /// that [`replay`](crate::replay) (and a rebuilt pool) can resolve
+    /// the same profile later.
     pub fn index(&self) -> usize {
         self.index
     }
@@ -95,8 +91,9 @@ pub struct SampleRequest {
 pub enum PoolError {
     /// The request named a profile that was never registered.
     UnknownProfile,
-    /// The target shard's ring is full (only from [`Pool::try_submit`];
-    /// blocking submission waits instead).
+    /// The submission lane is held or the target shard's ring is full
+    /// (only from [`Pool::try_submit`]; blocking submission waits
+    /// instead). Retryable — no sequence number was consumed.
     Backpressure,
     /// The pool is shutting down and no longer accepts requests.
     ShuttingDown,
@@ -104,10 +101,11 @@ pub enum PoolError {
     /// response (and the supervisor's restart budget could not bring the
     /// shard back in time), or a submission was routed to a shard that
     /// has been retired (budget exhausted; never part of normal
-    /// shutdown, which drains). Because the request→shard map is fixed
-    /// by the determinism contract, a dead shard is not skipped — the
-    /// pool degrades to returning this error for its share of requests
-    /// rather than silently re-routing streams.
+    /// shutdown, which drains). Because the request→shard map
+    /// (`seq % threads`) is fixed by the determinism contract, a dead
+    /// shard is not skipped — the pool degrades to returning this error
+    /// for its share of requests, each still consuming its sequence
+    /// number, rather than silently re-routing streams.
     WorkerGone,
     /// A deadline elapsed: [`Pool::submit_timeout`] could not hand the
     /// request to its shard in time. Retryable — nothing was enqueued
@@ -172,6 +170,12 @@ impl Completion {
 
 /// A pending response. Obtain from [`Pool::submit`]; redeem with
 /// [`wait`](Ticket::wait).
+///
+/// The ticket's [`seq`](Ticket::seq) was assigned on the submission
+/// lane: it names the request's place in the replayable trace and its
+/// home shard (`seq % threads`). Under staging the request may still be
+/// waiting for bucket-mates when the ticket is handed out; the response
+/// arrives once its gang has been served.
 #[derive(Debug)]
 pub struct Ticket {
     completion: Arc<Completion>,
@@ -189,7 +193,7 @@ pub struct SampleResponse {
     pub latency: Duration,
     /// The request this answers.
     pub request: SampleRequest,
-    /// The pool-wide submission sequence number (shard = seq % threads),
+    /// The pool-wide submission sequence number (home shard = seq % threads),
     /// *as echoed back by the serving worker* — compare against
     /// [`Ticket::seq`] to audit for misrouted or duplicated deliveries
     /// end to end (the `pool_server --verify` front end does).
@@ -323,7 +327,7 @@ pub struct PoolBuilder {
     token: u64,
     faults: FaultPlan,
     restart_policy: RestartPolicy,
-    coalesce: Option<CoalesceConfig>,
+    coalesce: CoalesceConfig,
 }
 
 /// Source of process-unique pool tokens (see [`ProfileId`]).
@@ -354,8 +358,10 @@ impl PoolBuilder {
         self
     }
 
-    /// Root of the deterministic randomness tree. Worker `i` draws from
-    /// the independent stream `seeds.fork_chacha(i)`. **Required** —
+    /// Root of the deterministic randomness tree. Shard `w` serves
+    /// profile `p` from the independent stream
+    /// `seeds.fork_subtree(w).fork_chacha(p)` (restart epoch `e` from
+    /// `fork_chacha_epoch(p, e)`). **Required** —
     /// [`spawn`](Self::spawn) panics without it: the streams feed
     /// cryptographic consumers, so the caller must own the decision of
     /// where the root entropy comes from (there is no safe default).
@@ -390,33 +396,23 @@ impl PoolBuilder {
         self
     }
 
-    /// Enables the v2 coalescing pool: cross-request batch staging
-    /// ([`CoalesceConfig::max_wait`]), optional work stealing between
-    /// shards, per-(shard, profile, epoch) PRNG streams, and the
-    /// per-shard dispatch log that [`replay_coalesced`] reconstructs
-    /// runs from.
+    /// Sets the staging and stealing policy (default:
+    /// [`CoalesceConfig::passthrough`] — no staging, no stealing).
     ///
-    /// Semantics that change versus the default (v1) pool:
-    ///
-    /// * Requests of the same profile may be served together (one engine
-    ///   pass, seq-tagged scatter) and a profile's home shard is
-    ///   `profile_index % threads` instead of `seq % threads`.
-    /// * Every submission variant accepts by staging under one stage
-    ///   lock — [`Pool::try_submit`] and [`Pool::submit_timeout`] block
-    ///   on that lock like [`Pool::submit`] does (staging itself is
-    ///   fast; ring backpressure parks the *flush*, which is the same
-    ///   head-of-line policy v1 had). Deadlines still bound the
-    ///   response wait via [`Ticket::wait_timeout`].
-    /// * Replay uses [`replay_coalesced`] over
-    ///   [`Pool::dispatch_log`] (or, for clean no-fault single-threaded
-    ///   runs, [`replay_coalesced_clean`]) instead of
-    ///   [`replay_trace`](crate::replay_trace).
-    ///
-    /// [`replay_coalesced`]: crate::replay_coalesced
-    /// [`replay_coalesced_clean`]: crate::replay_coalesced_clean
+    /// Routing and streams are the same under every policy: request
+    /// `seq` belongs to shard `seq % threads`, staged with that shard's
+    /// other requests of its profile, and is served from the
+    /// (shard, profile, epoch) stream. Staging only decides how many of
+    /// those requests share one engine pass, so a steal-free run
+    /// delivers the same samples as passthrough and replays from (seed,
+    /// trace, failure log) with an empty dispatch log — as long as no
+    /// worker died (a death abandons whole gangs; replay then needs
+    /// [`Pool::dispatch_log`]). Stealing lets an idle worker serve a
+    /// sibling's queued gang from its own streams; such runs replay from
+    /// [`Pool::dispatch_log`]. See [`replay`](crate::replay).
     #[must_use]
     pub fn coalesce(mut self, cfg: CoalesceConfig) -> Self {
-        self.coalesce = Some(cfg);
+        self.coalesce = cfg;
         self
     }
 
@@ -465,12 +461,7 @@ impl PoolBuilder {
             registry.add(sampler, label, precision);
         }
         let source = ProfileSource::Registry(Arc::clone(&registry));
-        let mode = if self.coalesce.is_some() {
-            StreamMode::PerProfile
-        } else {
-            StreamMode::Legacy
-        };
-        let steal = self.threads > 1 && self.coalesce.as_ref().is_some_and(|cfg| cfg.steal);
+        let steal = self.threads > 1 && self.coalesce.steal;
         let armed = self.faults.arm_workers(self.threads);
         let shared = Arc::new(SupervisorShared::new());
         let health = Arc::new(HealthBoard::new(self.threads));
@@ -485,13 +476,9 @@ impl PoolBuilder {
         let abandons: Vec<Arc<AbandonLog>> = (0..self.threads)
             .map(|_| Arc::new(AbandonLog::default()))
             .collect();
-        let dispatch: Vec<Arc<DispatchLog>> = if self.coalesce.is_some() {
-            (0..self.threads)
-                .map(|_| Arc::new(DispatchLog::default()))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let dispatch: Vec<Arc<DispatchLog>> = (0..self.threads)
+            .map(|_| Arc::new(DispatchLog::default()))
+            .collect();
         let mut contexts = Vec::with_capacity(self.threads);
         let mut handles = Vec::with_capacity(self.threads);
         for (w, worker_faults) in armed.iter().enumerate() {
@@ -505,17 +492,18 @@ impl PoolBuilder {
             let ctx = WorkerContext {
                 index: w,
                 width: self.width,
+                subtree: seeds.fork_subtree(w as u64),
                 shard: Arc::clone(&shards[w]),
                 siblings,
                 abandons: Arc::clone(&abandons[w]),
                 source: source.clone(),
                 stats: Arc::clone(&stats[w]),
                 faults: Arc::clone(worker_faults),
-                dispatch: dispatch.get(w).map(Arc::clone),
+                dispatch: Arc::clone(&dispatch[w]),
             };
             handles.push(Some(spawn_worker(
                 ctx.clone(),
-                epoch_streams(mode, &seeds, w as u64, 0),
+                0,
                 DeathNotice::new(&shared, w),
             )));
             contexts.push(ctx);
@@ -523,8 +511,6 @@ impl PoolBuilder {
         let supervisor = Supervisor {
             shared: Arc::clone(&shared),
             contexts,
-            seeds,
-            mode,
             health: Arc::clone(&health),
             log: Arc::clone(&failures),
             policy: self.restart_policy,
@@ -532,23 +518,18 @@ impl PoolBuilder {
             handles,
         }
         .spawn();
-        let coalescer = self.coalesce.as_ref().map(|cfg| {
-            Arc::new(Coalescer::new(
-                cfg,
-                64 * self.width.lanes(),
-                shards.clone(),
-                abandons.clone(),
-            ))
-        });
-        let flusher = coalescer.as_ref().map(Coalescer::spawn_flusher);
+        let coalescer = Arc::new(Coalescer::new(
+            &self.coalesce,
+            64 * self.width.lanes(),
+            shards.clone(),
+            abandons,
+        ));
+        let flusher = (!self.coalesce.max_wait.is_zero()).then(|| coalescer.spawn_flusher());
         Pool {
             shards,
             stats,
-            abandons,
             supervisor: Mutex::new(Some(supervisor)),
             supervisor_mail: shared,
-            lane: SubmitLane::default(),
-            submitted: AtomicU64::new(0),
             registry,
             coalescer,
             flusher: Mutex::new(flusher),
@@ -566,30 +547,33 @@ impl PoolBuilder {
 /// A sharded, multi-threaded sampling service over shared compiled
 /// kernels.
 ///
-/// `threads` workers each own an independent PRNG stream (forked from
-/// one [`SeedTree`]), reusable kernel scratch, and a bounded request
-/// ring. Requests are assigned to shards round-robin by submission
-/// sequence number, so the mapping of requests to worker streams — and
-/// therefore every response — is a pure function of (seed, request
-/// trace): the service is replayable. See `DESIGN.md` ("Service layer")
-/// for the architecture diagram and the full determinism contract.
+/// `threads` workers each own reusable kernel scratch, a bounded request
+/// ring, and one PRNG stream per (shard, profile), forked from one
+/// [`SeedTree`]. Every submission passes one lane that assigns its
+/// sequence number; request `seq` belongs to shard `seq % threads`, so
+/// the mapping of requests to streams — and therefore every response —
+/// is a pure function of (seed, request trace): the service is
+/// replayable. See `DESIGN.md` ("Service layer") for the architecture
+/// diagram and the full determinism contract.
 ///
 /// # Determinism contract
 ///
-/// * In a **single-profile** pool, worker `w`'s concatenated output for
-///   the requests it serves equals `CtSampler::sample_into` over one
-///   buffer of the same total length, driven by `seeds.fork_chacha(w)`
-///   — bit for bit, for every [`LaneWidth`]. With `threads = 1` the
-///   whole pool therefore reproduces the scalar `sample_into` stream.
-///   With **multiple profiles** a shard's one generator is interleaved
-///   across its profiles in request order, so the closed-form
-///   `sample_into` equivalence no longer applies per profile — but
-///   every response is still a pure function of (seed, request trace)
-///   and replays exactly.
-/// * Small requests are coalesced: workers only ever run *full*
+/// * For every profile `p`, shard `w`'s concatenated output for the
+///   requests of `p` it serves equals `CtSampler::sample_into` over one
+///   buffer of the same total length, driven by
+///   `seeds.fork_subtree(w).fork_chacha(p)` — bit for bit, for every
+///   [`LaneWidth`], in a run without stealing or worker deaths. With
+///   `threads = 1` the pool therefore reproduces one scalar
+///   `sample_into` stream per profile.
+/// * Small requests share batches: workers only ever run *full*
 ///   `64 * W`-sample kernel batches, carrying leftover samples to the
-///   next request on the same shard and profile. No randomness is
-///   discarded between requests.
+///   next request of the same (shard, profile). No randomness is
+///   discarded between requests. [`CoalesceConfig`] staging additionally
+///   gangs a shard's requests into one engine pass; it never changes
+///   values.
+/// * Every run — with stealing, deaths, or both — replays bit-exactly
+///   through [`replay`](crate::replay) from (seed, trace, failure log,
+///   dispatch log).
 ///
 /// # Examples
 ///
@@ -608,112 +592,36 @@ impl PoolBuilder {
 pub struct Pool {
     shards: Vec<Arc<Ring<Job>>>,
     stats: Vec<Arc<WorkerStats>>,
-    abandons: Vec<Arc<AbandonLog>>,
     /// The supervisor owns the worker handles; the pool only joins the
     /// supervisor (taken once, by whichever [`shutdown`](Pool::shutdown)
     /// call gets there first).
     supervisor: Mutex<Option<JoinHandle<()>>>,
     supervisor_mail: Arc<SupervisorShared>,
-    /// Serializes sequence assignment *and* shard push, so request `i`
-    /// always lands in slot `i mod threads` in arrival order — the
-    /// invariant replayability rests on. Held across a full shard's
-    /// blocking push: backpressure on one shard intentionally stalls all
-    /// submitters (head-of-line; see DESIGN.md for the policy rationale).
-    /// A hand-rolled lock (not a bare `Mutex` guard held across the
-    /// push) so that [`submit_timeout`](Pool::submit_timeout) can bound
-    /// the wait for the lane itself, not just for the ring slot.
-    lane: SubmitLane,
-    /// Requests accepted so far (mirror of the lane seq readable without
-    /// the lock, for stats).
-    submitted: AtomicU64,
-    /// The runtime profile table (hot-loadable in v2; the frozen builder
-    /// registrations otherwise).
+    /// The runtime profile table (hot-loadable).
     registry: Arc<ProfileRegistry>,
-    /// The v2 staging layer (None for a v1 pool).
-    coalescer: Option<Arc<Coalescer>>,
-    /// The deadline-flusher thread, joined by shutdown after sealing.
+    /// The submission lane and staging buckets. The lane serializes
+    /// sequence assignment *and* ring push, so request `i` always lands
+    /// on shard `i mod threads` in arrival order — the invariant
+    /// replayability rests on. It is held across a full ring's push:
+    /// backpressure on one shard intentionally stalls all submitters
+    /// (head-of-line; see DESIGN.md for the policy rationale).
+    coalescer: Arc<Coalescer>,
+    /// The deadline-flusher thread (staging pools only), joined by
+    /// shutdown after sealing.
     flusher: Mutex<Option<JoinHandle<()>>>,
-    /// Per-shard gang dispatch logs (empty for a v1 pool).
+    /// Per-shard gang dispatch logs.
     dispatch: Vec<Arc<DispatchLog>>,
     width: LaneWidth,
     /// Matches the `pool` field of every [`ProfileId`] this pool minted.
     token: u64,
-    /// Set by [`shutdown`](Pool::shutdown) before the rings close, so a
-    /// closed ring can be attributed to shutdown vs. a retired shard.
-    /// Shared with the supervisor, which must not resurrect into a
-    /// closing pool.
+    /// Set by [`shutdown`](Pool::shutdown) before the rings close. Shared
+    /// with the supervisor, which must not resurrect into a closing pool.
     closing: Arc<AtomicBool>,
     health: Arc<HealthBoard>,
     failures: Arc<FailureLog>,
     /// When the pool spawned — the denominator of the `samples_per_sec`
     /// gauge in [`metrics`](Pool::metrics).
     started_at: Instant,
-}
-
-/// The submission lane: a condvar-based lock over the next sequence
-/// number, held (logically, not as a `MutexGuard`) across the shard
-/// push. See the field docs on [`Pool::lane`].
-#[derive(Debug, Default)]
-struct SubmitLane {
-    state: Mutex<LaneState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct LaneState {
-    held: bool,
-    seq: u64,
-}
-
-impl SubmitLane {
-    /// Takes the lane and returns the sequence number to submit under.
-    /// `block = false` refuses a held lane with `Backpressure`;
-    /// a `deadline` bounds the wait with `TimedOut`.
-    fn acquire(&self, block: bool, deadline: Option<Instant>) -> Result<u64, PoolError> {
-        let mut state = lock_recover(&self.state);
-        while state.held {
-            if !block {
-                return Err(PoolError::Backpressure);
-            }
-            match deadline {
-                None => state = wait_recover(&self.cv, state),
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Err(PoolError::TimedOut);
-                    }
-                    state = wait_timeout_recover(&self.cv, state, remaining);
-                }
-            }
-        }
-        state.held = true;
-        Ok(state.seq)
-    }
-
-    /// Releases the lane. `consume` advances the sequence number — true
-    /// whenever the submission's shard slot is settled (enqueued, or
-    /// refused by a closed ring, which is an answer too); false when the
-    /// attempt may be retried under the same seq (full ring, timeout).
-    /// Returns the next sequence number.
-    fn release(&self, consume: bool) -> u64 {
-        let mut state = lock_recover(&self.state);
-        if consume {
-            state.seq += 1;
-        }
-        state.held = false;
-        self.cv.notify_one();
-        let next = state.seq;
-        drop(state);
-        next
-    }
-}
-
-/// How [`Pool::submit_inner`] should wait for queue space.
-#[derive(Clone, Copy)]
-enum SubmitMode {
-    Block,
-    NonBlock,
-    Deadline(Instant),
 }
 
 impl Pool {
@@ -728,7 +636,7 @@ impl Pool {
             token: POOL_TOKENS.fetch_add(1, Ordering::Relaxed),
             faults: FaultPlan::default(),
             restart_policy: RestartPolicy::default(),
-            coalesce: None,
+            coalesce: CoalesceConfig::passthrough(),
         }
     }
 
@@ -840,12 +748,11 @@ impl Pool {
         self.registry.snapshot()
     }
 
-    /// The per-shard gang dispatch logs of a coalescing (v2) pool: for
-    /// each shard, every gang it served, in serve order. Together with
-    /// (seed, trace, width, failure log) this reconstructs every
-    /// delivered sample bit-exactly via
-    /// [`replay_coalesced`](crate::replay_coalesced) — including runs
-    /// with work stealing and worker deaths. Empty for a v1 pool.
+    /// The per-shard gang dispatch logs: for each shard, every gang it
+    /// served, in serve order. Together with (seed, trace, width, failure
+    /// log) this reconstructs every delivered sample bit-exactly via
+    /// [`replay`](crate::replay) — including runs with work stealing and
+    /// worker deaths.
     ///
     /// Complete (covers every serve) once [`shutdown`](Self::shutdown)
     /// has returned; mid-run snapshots are valid prefixes.
@@ -858,35 +765,37 @@ impl Pool {
         self.stats.iter().map(|s| s.steals()).sum()
     }
 
-    /// Submits a request, blocking while the target shard is full.
+    /// Submits a request, blocking while the submission lane is held or
+    /// the target shard is full.
     ///
     /// # Errors
     ///
-    /// [`PoolError::UnknownProfile`] or [`PoolError::ShuttingDown`].
+    /// [`PoolError::UnknownProfile`], [`PoolError::ShuttingDown`], or
+    /// [`PoolError::WorkerGone`] when the request's shard is retired.
     pub fn submit(&self, request: SampleRequest) -> Result<Ticket, PoolError> {
-        self.submit_inner(request, SubmitMode::Block)
+        self.submit_inner(request, Wait::Block)
     }
 
-    /// Submits a request without blocking on backpressure: a full target
-    /// shard *or* a contended submission lane (any other submitter holds
-    /// the sequence lock — possibly parked on a full shard, possibly
-    /// just overlapping for its microsecond-scale critical section)
+    /// Submits a request without blocking on backpressure: a contended
+    /// submission lane (any other submitter holds it — possibly parked
+    /// on a full shard, possibly just overlapping for its
+    /// microsecond-scale critical section) *or* a full target shard
     /// returns [`PoolError::Backpressure`] immediately instead of
     /// waiting. Backpressure is therefore a retryable "not now", not
-    /// proof that queues are full.
+    /// proof that queues are full; it consumes no sequence number.
     ///
     /// # Errors
     ///
     /// [`PoolError::Backpressure`] as above, plus everything
     /// [`submit`](Self::submit) can return.
     pub fn try_submit(&self, request: SampleRequest) -> Result<Ticket, PoolError> {
-        self.submit_inner(request, SubmitMode::NonBlock)
+        self.submit_inner(request, Wait::NonBlock)
     }
 
     /// Submits with a deadline on the total wait — the submission lane
-    /// *and* the ring slot together. The bounded-latency variant of
-    /// [`submit`](Self::submit) for callers that must not wedge behind a
-    /// stalled shard.
+    /// *and* the ring slot an immediate dispatch needs, together. The
+    /// bounded-latency variant of [`submit`](Self::submit) for callers
+    /// that must not wedge behind a stalled shard.
     ///
     /// # Errors
     ///
@@ -900,118 +809,29 @@ impl Pool {
         timeout: Duration,
     ) -> Result<Ticket, PoolError> {
         match Instant::now().checked_add(timeout) {
-            Some(deadline) => self.submit_inner(request, SubmitMode::Deadline(deadline)),
+            Some(deadline) => self.submit_inner(request, Wait::Deadline(deadline)),
             // Beyond Instant range: indistinguishable from unbounded.
-            None => self.submit_inner(request, SubmitMode::Block),
+            None => self.submit_inner(request, Wait::Block),
         }
     }
 
-    fn submit_inner(&self, request: SampleRequest, mode: SubmitMode) -> Result<Ticket, PoolError> {
+    fn submit_inner(&self, request: SampleRequest, wait: Wait) -> Result<Ticket, PoolError> {
         self.check_submittable(request.profile)?;
         let completion = Arc::new(Completion::default());
         let submitted_at = Instant::now();
-        if let Some(coalescer) = &self.coalescer {
-            // v2: all submission variants accept by staging. The stage
-            // lock (and, through an inline flush into a full ring, ring
-            // space) is the only wait — the same head-of-line policy as
-            // the v1 lane, so non-blocking/deadline modes share it.
-            let seq = coalescer.stage(
-                request.profile.index,
-                request.count,
-                submitted_at,
-                Arc::clone(&completion),
-            )?;
-            self.submitted.fetch_max(seq + 1, Ordering::Relaxed);
-            return Ok(Ticket {
-                completion,
-                submitted_at,
-                request,
-                seq,
-            });
-        }
-        let (block, deadline) = match mode {
-            SubmitMode::Block => (true, None),
-            SubmitMode::NonBlock => (false, None),
-            SubmitMode::Deadline(deadline) => (true, Some(deadline)),
-        };
-        let seq = self.lane.acquire(block, deadline)?;
-        let shard_index = (seq % self.shards.len() as u64) as usize;
-        let shard = &self.shards[shard_index];
-        let job = Job::single(
+        let seq = self.coalescer.submit(
             request.profile.index,
-            shard_index,
-            Member::new(seq, request.count, submitted_at, Arc::clone(&completion)),
-            Arc::clone(&self.abandons[shard_index]),
-        );
-        // A refused push comes back in three flavors with different seq
-        // accounting:
-        //  * accepted — the seq is consumed;
-        //  * closed ring — the shard is retired (or the pool is shutting
-        //    down). The seq is consumed *anyway*: the request→shard map
-        //    stays total, the dead shard eats its 1/threads share of the
-        //    sequence space as immediate `WorkerGone` errors, and traffic
-        //    keeps flowing to the live shards;
-        //  * full ring / deadline — retryable, the seq is NOT consumed,
-        //    so a retry lands on the same shard and determinism is
-        //    independent of backpressure timing.
-        let refused: Option<PoolError> = match mode {
-            SubmitMode::Block => match shard.push(job) {
-                Ok(()) => None,
-                Err(job) => {
-                    job.defuse();
-                    Some(self.closed_error())
-                }
-            },
-            SubmitMode::NonBlock => match shard.try_push(job) {
-                Ok(()) => None,
-                Err(TryPushError::Full(job)) => {
-                    job.defuse();
-                    self.lane.release(false);
-                    return Err(PoolError::Backpressure);
-                }
-                Err(TryPushError::Closed(job)) => {
-                    job.defuse();
-                    Some(self.closed_error())
-                }
-            },
-            SubmitMode::Deadline(deadline) => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match shard.push_timeout(job, remaining) {
-                    Ok(()) => None,
-                    Err(PushTimeoutError::TimedOut(job)) => {
-                        job.defuse();
-                        self.lane.release(false);
-                        return Err(PoolError::TimedOut);
-                    }
-                    Err(PushTimeoutError::Closed(job)) => {
-                        job.defuse();
-                        Some(self.closed_error())
-                    }
-                }
-            }
-        };
-        let next = self.lane.release(true);
-        self.submitted.store(next, Ordering::Relaxed);
-        match refused {
-            Some(error) => Err(error),
-            None => Ok(Ticket {
-                completion,
-                submitted_at,
-                request,
-                seq,
-            }),
-        }
-    }
-
-    /// A closed ring during normal operation means that shard was
-    /// retired by the supervisor; only report ShuttingDown when the pool
-    /// is actually shutting down.
-    fn closed_error(&self) -> PoolError {
-        if self.closing.load(Ordering::Relaxed) {
-            PoolError::ShuttingDown
-        } else {
-            PoolError::WorkerGone
-        }
+            request.count,
+            submitted_at,
+            Arc::clone(&completion),
+            wait,
+        )?;
+        Ok(Ticket {
+            completion,
+            submitted_at,
+            request,
+            seq,
+        })
     }
 
     /// Blocking convenience: draws `out.len()` samples from `profile`
@@ -1056,13 +876,19 @@ impl Pool {
     /// Two sections:
     ///
     /// * `pool` — lifetime totals (`requests_total`, `samples_total`,
-    ///   `batches_total`, `submitted`, `restarts`, `abandoned`), derived
-    ///   gauges (`samples_per_sec` over the pool's uptime,
-    ///   `batch_fill_ratio` = samples delivered / samples generated by
-    ///   full `64 * W` kernel batches, `queue_depth` summed over shards),
-    ///   and — with the `metrics` feature (default) — the
-    ///   submit-to-completion `latency_ns` histogram merged across
-    ///   shards.
+    ///   `batches_total`, `fresh_total`, `submitted`, `restarts`,
+    ///   `abandoned`, `steals_total`, `gangs_flushed`,
+    ///   `gang_members_flushed`), derived gauges (`samples_per_sec` over
+    ///   the pool's uptime, `batch_fill_ratio` = samples delivered /
+    ///   samples generated by full `64 * W` kernel batches — the one fill
+    ///   gauge: only the final carries go undelivered, so it sits near
+    ///   1.0 in every mode — `queue_depth` summed over shards,
+    ///   `staged_depth`), and — with the `metrics` feature (default) —
+    ///   the submit-to-completion `latency_ns` and `staging_wait_ns`
+    ///   histograms merged across shards. `fresh_total` counts samples
+    ///   delivered by the serve that generated them; the rest reached
+    ///   their caller through a carry. `gangs_flushed / requests_total`
+    ///   is what staging moves: how many engine passes a request costs.
     /// * `pool_shards` — the same counters per shard (`shard3_requests`,
     ///   …), each shard's live queue depth, restart/abandon counts, and
     ///   its health state as a label.
@@ -1133,30 +959,15 @@ impl Pool {
                     0.0
                 },
             )
-            .gauge("queue_depth", queue_depth as f64);
-        // Kernel-batch fill from *fresh* draws only: carried-over samples
-        // served from a previous batch's remainder don't count, so a
-        // tiny-request workload without coalescing shows its true
-        // underfill here while `batch_fill_ratio` (delivered / generated)
-        // stays an amortization gauge.
-        pool.counter("fresh_total", fresh)
-            .counter("steals_total", steals)
-            .gauge(
-                "dispatch_fill_ratio",
-                if batch_samples > 0 {
-                    fresh as f64 / batch_samples as f64
-                } else {
-                    0.0
-                },
-            );
+            .gauge("queue_depth", queue_depth as f64)
+            .counter("fresh_total", fresh)
+            .counter("steals_total", steals);
         let (active, retired) = self.registry.counts();
         pool.counter("profiles_active", active)
-            .counter("profiles_retired", retired);
-        if let Some(coalescer) = &self.coalescer {
-            pool.counter("gangs_flushed", coalescer.gangs_flushed())
-                .counter("gang_members_flushed", coalescer.members_flushed())
-                .gauge("staged_depth", coalescer.staged_now() as f64);
-        }
+            .counter("profiles_retired", retired)
+            .counter("gangs_flushed", self.coalescer.gangs_flushed())
+            .counter("gang_members_flushed", self.coalescer.members_flushed())
+            .gauge("staged_depth", self.coalescer.staged_now() as f64);
         #[cfg(feature = "metrics")]
         {
             let mut latency = ctgauss_telemetry::HistogramSnapshot::empty();
@@ -1164,9 +975,7 @@ impl Pool {
                 latency.merge(&stats.latency.snapshot());
             }
             pool.histogram("latency_ns", latency);
-            if let Some(coalescer) = &self.coalescer {
-                pool.histogram("staging_wait_ns", coalescer.staging_wait.snapshot());
-            }
+            pool.histogram("staging_wait_ns", self.coalescer.staging_wait.snapshot());
         }
 
         let shards = snap.section("pool_shards");
@@ -1197,7 +1006,7 @@ impl Pool {
 
     /// Requests accepted so far (== the next sequence number).
     pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
+        self.coalescer.submitted()
     }
 
     /// Live per-shard health: state (alive / restarting / dead), restart
@@ -1209,7 +1018,7 @@ impl Pool {
     /// The failure log so far: one [`FailureEvent`] per worker death, in
     /// the order the supervisor processed them. Together with the seed
     /// and the request trace this fully determines every response — see
-    /// [`replay_trace`](crate::replay_trace). The log is complete (every
+    /// [`replay`](crate::replay). The log is complete (every
     /// death processed, every abandoned seq attributed) once
     /// [`shutdown`](Pool::shutdown) has returned.
     pub fn failure_log(&self) -> Vec<FailureEvent> {
@@ -1221,13 +1030,11 @@ impl Pool {
     /// drop; call it explicitly to observe completion.
     pub fn shutdown(&self) {
         self.closing.store(true, Ordering::Release);
-        // v2: seal staging (new submissions now fail ShuttingDown) and
+        // Seal staging (new submissions now fail ShuttingDown) and
         // dispatch everything staged *before* closing the rings, so the
         // final gangs land on live workers; then join the flusher (it
         // exits on the seal).
-        if let Some(coalescer) = &self.coalescer {
-            coalescer.seal_and_flush();
-        }
+        self.coalescer.seal_and_flush();
         if let Some(handle) = lock_recover(&self.flusher).take() {
             if let Err(payload) = handle.join() {
                 if !std::thread::panicking() {

@@ -1,43 +1,38 @@
-//! Offline, bit-exact replay of a pool run from its replay triple:
-//! **(seed, request trace, failure log)** — plus, for coalescing (v2)
-//! pools, the per-shard **dispatch log**.
+//! Offline, bit-exact replay of a pool run from its replay inputs:
+//! **(seed, request trace, failure log, dispatch log)**.
 //!
-//! Without failures, (seed, trace) alone determines every response —
-//! that is the pool's determinism contract. Worker deaths add exactly
-//! three facts per event, all recorded in the [`FailureEvent`]: where
-//! the dying epoch's stream ended (the lifetime `fulfilled` count),
-//! which requests were abandoned, and which epoch stream the shard
-//! served from next. [`replay_trace`] folds those facts back in and
-//! reproduces, single-threaded and without any pool, precisely what the
-//! live run answered: `Some(samples)` bit-for-bit for every fulfilled
-//! request, `None` for every request the failures swallowed.
+//! Request `seq` belongs to shard `seq % threads` and draws from that
+//! shard's (profile, epoch) stream. By the draw-order contract a
+//! request's samples are the next `count`-sample slice of that stream,
+//! however the run ganged it — so a shard's responses are pinned by the
+//! order in which it served each profile's requests, plus the epoch
+//! switches its deaths forced. [`replay`] re-executes that order
+//! single-threaded, through the same
+//! [`ShardEngine`](crate::worker::ShardEngine) the workers run, and
+//! returns `Some(samples)` bit-for-bit for every delivered request and
+//! `None` for every request the run lost.
 //!
-//! The replay runs the same [`ShardEngine`](crate::worker::ShardEngine)
-//! the workers run, at the live pool's [`LaneWidth`](crate::LaneWidth).
-//! The width matters once a stream serves more than one consumer run:
-//! each profile keeps its own sample carry, but (in the v1 layout) all
-//! of a shard's profiles draw from one generator, so the *order* bits
-//! are consumed across profiles follows the batch size (64·W samples
-//! per kernel pass). A single-profile trace replays width-independently
-//! (the draw-order contract: every width yields the same per-stream
-//! sample order), but only the run's own width reproduces a
-//! multi-profile interleaving.
+//! Where the serve order comes from:
 //!
-//! # Coalesced runs
+//! * **An empty dispatch log** means the *passthrough schedule*: shard
+//!   `s` serves its seqs `s, s + threads, …` one per gang, in seq order,
+//!   skipping the failure log's abandoned seqs, and answers nothing once
+//!   its retiring event is reached. That is exactly what a passthrough
+//!   pool does, with or without worker deaths. A steal-free staging pool
+//!   matches it too as long as no worker died: staging keeps each
+//!   (shard, profile) in seq order, and nothing else matters to values.
+//!   An offline verifier that only knows the trace and the failure log
+//!   checks against this schedule.
+//! * **[`Pool::dispatch_log`](crate::Pool::dispatch_log)** is needed when
+//!   a staging pool stole work or lost a worker: it records, per serving
+//!   shard, every gang in serve order, so a stolen gang is replayed on
+//!   the thief's streams and a death's `fulfilled` cursor lands on a
+//!   gang boundary.
 //!
-//! A v2 pool routes by profile (home shard = `profile_index % threads`),
-//! gangs requests together, steals across shards, and reroutes around
-//! dead rings — so "which shard served seq `i`" is no longer a pure
-//! function of the trace. What *is* recorded is the per-shard
-//! [`DispatchRecord`] list: every gang a worker served, in serve order.
-//! By the draw-order contract a member's samples are a prefix-slice of
-//! its (shard, profile, epoch) stream regardless of gang boundaries, so
-//! those lists (plus seed, trace, width, failure log) pin every
-//! delivered sample: that is [`replay_coalesced`]. For clean runs —
-//! no faults, no stealing — the dispatch order per (shard, profile) is
-//! provably ascending seq order, so [`replay_coalesced_clean`] can
-//! reconstruct the run from the trace alone, which is what an offline
-//! verifier with no access to the server's logs checks against.
+//! In both cases the failure log gates epochs: once a shard has served
+//! an event's lifetime `fulfilled` member count, a `Restarted` event
+//! switches it to the next epoch's streams and a retiring event
+//! (`Exhausted`, `ShuttingDown`) ends it.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -50,10 +45,10 @@ use crate::fault::ArmedFaults;
 use crate::health::{FailureEvent, FailureOutcome};
 use crate::pool::LaneWidth;
 use crate::registry::ProfileSource;
-use crate::worker::{epoch_streams, ShardEngine, StreamMode, WorkerStats};
+use crate::worker::{ShardEngine, WorkerStats};
 
 /// One entry of a recorded request trace, in submission order: entry
-/// `i` was accepted under sequence number `i` (and therefore served by
+/// `i` was accepted under sequence number `i` (and therefore belongs to
 /// shard `i % threads` — including entries the pool answered with
 /// `WorkerGone` because that shard was already retired; they consumed
 /// their sequence number too).
@@ -65,205 +60,97 @@ pub struct TraceEntry {
     pub count: usize,
 }
 
-fn static_source(profiles: &[Arc<CtSampler>]) -> ProfileSource {
-    ProfileSource::Static(profiles.to_vec().into())
-}
-
 /// Replays a recorded run. Returns, for each trace entry in order,
 /// `Some(samples)` exactly as the live pool delivered them, or `None`
-/// where the failure log says the request was abandoned (its ticket
-/// resolved to `WorkerGone`) or routed to an already-retired shard.
+/// where the request was lost: abandoned by a worker death, or routed to
+/// an already-retired shard.
 ///
 /// `seeds`, `profiles` (in registration order), `threads` and `width`
 /// must match the live pool's configuration; `failures` is
-/// [`Pool::failure_log`](crate::Pool::failure_log) taken after
-/// [`Pool::shutdown`](crate::Pool::shutdown). An empty failure log makes
-/// this the plain (seed, trace) replay.
-pub fn replay_trace(
+/// [`Pool::failure_log`](crate::Pool::failure_log) and `dispatch` is
+/// either empty (the passthrough schedule — see the module docs for when
+/// that suffices) or [`Pool::dispatch_log`](crate::Pool::dispatch_log),
+/// both taken after [`Pool::shutdown`](crate::Pool::shutdown).
+///
+/// `width` only picks the kernel backend the replay runs on: by the
+/// draw-order contract every width yields the same per-stream samples.
+///
+/// # Panics
+///
+/// Panics if `threads` is zero, or if `dispatch` is non-empty with a
+/// length other than `threads`.
+pub fn replay(
     seeds: &SeedTree,
     profiles: &[Arc<CtSampler>],
     threads: usize,
-    width: LaneWidth,
-    trace: &[TraceEntry],
-    failures: &[FailureEvent],
-) -> Vec<Option<Vec<i32>>> {
-    assert!(threads > 0, "a pool has at least one shard");
-    let abandoned: HashSet<u64> = failures
-        .iter()
-        .flat_map(|event| event.abandoned.iter().copied())
-        .collect();
-    let backend = Backend::select_for_width(width.lanes());
-    let source = static_source(profiles);
-    let stats = WorkerStats::default();
-    let no_faults = ArmedFaults::none();
-    let mut out: Vec<Option<Vec<i32>>> = vec![None; trace.len()];
-    for worker in 0..threads {
-        // This shard's failure events, in the order the supervisor
-        // recorded them. Each is a gate: once `served` reaches the
-        // event's lifetime fulfilled count, the dying epoch's stream is
-        // exhausted and the next serveable request draws from the
-        // replacement's epoch stream (or nothing, if the shard retired).
-        let mut events = failures
-            .iter()
-            .filter(|event| event.worker == worker)
-            .peekable();
-        let mut engine = ShardEngine::new(
-            backend,
-            source.clone(),
-            epoch_streams(StreamMode::Legacy, seeds, worker as u64, 0),
-        );
-        let mut served = 0u64;
-        let mut dead = false;
-        for (seq, entry) in trace.iter().enumerate().skip(worker).step_by(threads) {
-            if abandoned.contains(&(seq as u64)) {
-                continue; // stays None
-            }
-            while let Some(event) = events.peek() {
-                if served < event.fulfilled {
-                    break;
-                }
-                match event.outcome {
-                    FailureOutcome::Restarted { new_epoch } => {
-                        engine = ShardEngine::new(
-                            backend,
-                            source.clone(),
-                            epoch_streams(StreamMode::Legacy, seeds, worker as u64, new_epoch),
-                        );
-                    }
-                    FailureOutcome::Exhausted | FailureOutcome::ShuttingDown => dead = true,
-                }
-                events.next();
-            }
-            if dead {
-                continue; // retired shard: the live pool answered WorkerGone
-            }
-            out[seq] = Some(engine.serve(entry.profile_index, entry.count, &stats, &no_faults));
-            served += 1;
-        }
-    }
-    out
-}
-
-/// Replays a **coalescing (v2)** pool run from its extended replay
-/// tuple: (seed, trace, width, failure log, dispatch log). Returns, per
-/// trace entry, `Some(samples)` bit-exactly as delivered, or `None` for
-/// requests no dispatch record covers — abandoned members, purged
-/// rings, and staged members lost to shutdown all land there, so the
-/// dispatch log is the single authority on what was delivered.
-///
-/// `dispatch` is [`Pool::dispatch_log`](crate::Pool::dispatch_log)
-/// taken after shutdown: `dispatch[s]` lists every gang shard `s`
-/// *served* (not merely queued), in serve order. Work stealing and
-/// rerouting are therefore already folded in — a stolen gang appears in
-/// the thief's list, and since v2 streams are per (shard, profile,
-/// epoch) and a member's samples are a prefix-slice of that stream, the
-/// serve order per (shard, profile) is all that has to be pinned.
-///
-/// The failure log gates restart epochs exactly as in [`replay_trace`],
-/// except the `fulfilled` cursor counts gang *members*, which is what
-/// the live worker counts too.
-pub fn replay_coalesced(
-    seeds: &SeedTree,
-    profiles: &[Arc<CtSampler>],
     width: LaneWidth,
     trace: &[TraceEntry],
     failures: &[FailureEvent],
     dispatch: &[Vec<DispatchRecord>],
 ) -> Vec<Option<Vec<i32>>> {
+    assert!(threads > 0, "a pool has at least one shard");
+    assert!(
+        dispatch.is_empty() || dispatch.len() == threads,
+        "a dispatch log has one record list per shard"
+    );
+    let abandoned: HashSet<u64> = failures
+        .iter()
+        .flat_map(|event| event.abandoned.iter().copied())
+        .collect();
     let backend = Backend::select_for_width(width.lanes());
-    let source = static_source(profiles);
+    let source = ProfileSource::Static(profiles.to_vec().into());
     let stats = WorkerStats::default();
     let no_faults = ArmedFaults::none();
     let mut out: Vec<Option<Vec<i32>>> = vec![None; trace.len()];
-    for (worker, records) in dispatch.iter().enumerate() {
+    for shard in 0..threads {
+        let schedule: Vec<DispatchRecord>;
+        let records = if dispatch.is_empty() {
+            schedule = trace
+                .iter()
+                .enumerate()
+                .skip(shard)
+                .step_by(threads)
+                .filter(|&(seq, _)| !abandoned.contains(&(seq as u64)))
+                .map(|(seq, entry)| DispatchRecord {
+                    shard,
+                    home: shard,
+                    profile_index: entry.profile_index,
+                    members: vec![seq as u64],
+                })
+                .collect();
+            &schedule
+        } else {
+            &dispatch[shard]
+        };
+        let subtree = seeds.fork_subtree(shard as u64);
+        let mut engine = ShardEngine::new(backend, source.clone(), subtree.clone(), 0);
         let mut events = failures
             .iter()
-            .filter(|event| event.worker == worker)
+            .filter(|event| event.worker == shard)
             .peekable();
-        let mut engine = ShardEngine::new(
-            backend,
-            source.clone(),
-            epoch_streams(StreamMode::PerProfile, seeds, worker as u64, 0),
-        );
         let mut served = 0u64;
-        for record in records {
-            while let Some(event) = events.peek() {
-                if served < event.fulfilled {
-                    break;
+        'serve: for record in records {
+            while let Some(event) = events.next_if(|event| served >= event.fulfilled) {
+                match event.outcome {
+                    FailureOutcome::Restarted { new_epoch } => {
+                        engine =
+                            ShardEngine::new(backend, source.clone(), subtree.clone(), new_epoch);
+                    }
+                    // Retired: the live shard answered nothing after this.
+                    FailureOutcome::Exhausted | FailureOutcome::ShuttingDown => break 'serve,
                 }
-                if let FailureOutcome::Restarted { new_epoch } = event.outcome {
-                    engine = ShardEngine::new(
-                        backend,
-                        source.clone(),
-                        epoch_streams(StreamMode::PerProfile, seeds, worker as u64, new_epoch),
-                    );
-                }
-                // Exhausted/ShuttingDown: a retired shard appends no
-                // further records, so there is nothing to skip — the
-                // remaining records (if any) predate the event.
-                events.next();
             }
-            let total: usize = record
-                .members
-                .iter()
-                .map(|&seq| trace[seq as usize].count)
-                .sum();
+            let count = |seq: u64| trace[seq as usize].count;
+            let total = record.members.iter().map(|&seq| count(seq)).sum();
             let mut samples = engine.serve(record.profile_index, total, &stats, &no_faults);
             // Scatter back to the members in serve order, exactly as
-            // Job::scatter did live.
-            for &seq in record.members.iter().rev().skip(1).rev() {
-                let rest = samples.split_off(trace[seq as usize].count);
-                out[seq as usize] = Some(std::mem::replace(&mut samples, rest));
-            }
-            if let Some(&last) = record.members.last() {
-                out[last as usize] = Some(samples);
+            // Job::scatter does live.
+            for &seq in record.members.iter().rev() {
+                let part = samples.split_off(samples.len() - count(seq));
+                out[seq as usize] = Some(part);
             }
             served += record.members.len() as u64;
         }
     }
     out
-}
-
-/// Replays a **clean** coalesced run — no injected faults, no worker
-/// deaths, and stealing disabled — from (seed, trace, threads, width)
-/// alone, no dispatch log needed.
-///
-/// Why this is sound: with stealing off, every gang of profile `p` is
-/// served by its home shard `p % threads`, and the coalescer stages,
-/// flushes, and enqueues under one stage lock, so shard `s` serves each
-/// profile's members in ascending seq order. By the draw-order contract
-/// a member's samples are then the next `count`-sample prefix-slice of
-/// the (shard, profile) stream *regardless of how the run ganged them*
-/// — so serving each trace entry individually, in seq order, on its
-/// home shard's engine reproduces every delivered buffer bit-exactly.
-/// This is the offline verifier's tool: it needs only what the client
-/// already knows.
-pub fn replay_coalesced_clean(
-    seeds: &SeedTree,
-    profiles: &[Arc<CtSampler>],
-    threads: usize,
-    width: LaneWidth,
-    trace: &[TraceEntry],
-) -> Vec<Vec<i32>> {
-    assert!(threads > 0, "a pool has at least one shard");
-    let backend = Backend::select_for_width(width.lanes());
-    let source = static_source(profiles);
-    let stats = WorkerStats::default();
-    let no_faults = ArmedFaults::none();
-    let mut engines: Vec<ShardEngine> = (0..threads)
-        .map(|worker| {
-            ShardEngine::new(
-                backend,
-                source.clone(),
-                epoch_streams(StreamMode::PerProfile, seeds, worker as u64, 0),
-            )
-        })
-        .collect();
-    trace
-        .iter()
-        .map(|entry| {
-            let home = entry.profile_index % threads;
-            engines[home].serve(entry.profile_index, entry.count, &stats, &no_faults)
-        })
-        .collect()
 }

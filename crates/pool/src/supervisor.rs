@@ -12,8 +12,9 @@
 //! of hanging callers.
 //!
 //! The replacement deliberately does **not** inherit the dead worker's
-//! carry or PRNG position: both died with the thread. It draws from
-//! `fork_chacha_epoch(worker, epoch + 1)` with an empty carry, and the
+//! carries or PRNG positions: both died with the thread. It draws from
+//! `fork_subtree(worker).fork_chacha_epoch(profile, epoch + 1)` with
+//! empty carries, and the
 //! [`FailureEvent`] records exactly where the old stream ended — which is
 //! what keeps (seed, trace, failure-log) a complete replay triple.
 
@@ -23,11 +24,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ctgauss_prng::SeedTree;
-
 use crate::health::{FailureEvent, FailureLog, FailureOutcome, HealthBoard, ShardState};
 use crate::ring::{lock_recover, wait_recover};
-use crate::worker::{epoch_streams, spawn_worker, StreamMode, WorkerContext};
+use crate::worker::{spawn_worker, WorkerContext};
 
 /// Restart budget and backoff schedule for worker resurrection.
 ///
@@ -152,14 +151,11 @@ impl Drop for DeathNotice {
 /// Everything the supervisor needs to judge a death and respawn a worker.
 pub(crate) struct Supervisor {
     pub(crate) shared: Arc<SupervisorShared>,
-    /// Per-shard spawn contexts (ring, siblings, profile source, stats,
-    /// faults, dispatch log) — cloned into every resurrection epoch so a
-    /// replacement serves exactly the same shard resources.
+    /// Per-shard spawn contexts (seed subtree, ring, siblings, profile
+    /// source, stats, faults, dispatch log) — cloned into every
+    /// resurrection epoch so a replacement serves exactly the same shard
+    /// resources.
     pub(crate) contexts: Vec<WorkerContext>,
-    pub(crate) seeds: SeedTree,
-    /// Which PRNG stream layout resurrection epochs fork (must match
-    /// what `PoolBuilder::spawn` chose for epoch 0).
-    pub(crate) mode: StreamMode,
     pub(crate) health: Arc<HealthBoard>,
     pub(crate) log: Arc<FailureLog>,
     pub(crate) policy: RestartPolicy,
@@ -233,7 +229,7 @@ impl Supervisor {
         // empty carry: the dead epoch's randomness is gone for good.
         self.handles[worker] = Some(spawn_worker(
             self.contexts[worker].clone(),
-            epoch_streams(self.mode, &self.seeds, worker as u64, new_epoch),
+            new_epoch,
             DeathNotice::new(&self.shared, worker),
         ));
         self.health

@@ -1,10 +1,10 @@
-//! Worker threads: coalesced batch execution over deterministic streams.
+//! Worker threads: gang execution over per-(shard, profile) streams.
 //!
-//! v1 served one request per [`Job`]; v2 generalizes the job to a
-//! **gang** — one or more same-profile requests served by a single
-//! engine pass and scattered back to their waiters in seq order. A v1
-//! submission is simply a one-member gang, so both pool modes share one
-//! ring type, one worker loop, and one serving engine.
+//! A [`Job`] is a **gang**: one or more same-profile requests served by
+//! a single engine pass and scattered back to their waiters in seq
+//! order. Without staging every gang has exactly one member, so both
+//! coalescing settings share one ring type, one worker loop, and one
+//! serving engine.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,8 +53,8 @@ pub(crate) struct Member {
     pub(crate) submitted_at: Instant,
     completion: Arc<Completion>,
     /// The abandon log of the shard currently responsible for the
-    /// member. `None` while staged (no shard yet); set when the gang is
-    /// enqueued on a ring, and re-tagged by a thief so a mid-serve panic
+    /// member. `None` while staged; set when its gang is built for the
+    /// home ring, and re-pointed by a thief so a mid-serve panic
     /// attributes the loss to the shard that actually held the work.
     abandons: Option<Arc<AbandonLog>>,
     fulfilled: bool,
@@ -83,11 +83,11 @@ impl Member {
         self.fulfilled = true;
     }
 
-    /// Resolves the waiting ticket with an abandon *now* (shutdown path
-    /// for staged members that no live ring would accept).
-    pub(crate) fn abandon(mut self) {
-        // Drop does the work; this method only names the intent.
-        self.fulfilled = false;
+    /// Discards a member whose submission was refused synchronously
+    /// (the caller gets the error, not a ticket), so neither the
+    /// completion nor the abandon log should hear about it.
+    pub(crate) fn defuse(mut self) {
+        self.fulfilled = true;
     }
 }
 
@@ -116,34 +116,25 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    /// A v1 submission: a one-member gang.
-    pub(crate) fn single(
+    /// A gang bound for shard `home`'s ring. `members` must be in
+    /// ascending seq order and share the profile; each member's abandon
+    /// attribution points at `abandons`, the home shard's log.
+    pub(crate) fn gang(
         profile_index: usize,
         home: usize,
-        mut member: Member,
-        abandons: Arc<AbandonLog>,
+        members: Vec<Member>,
+        abandons: &Arc<AbandonLog>,
     ) -> Self {
-        member.abandons = Some(abandons);
-        let total = member.count;
-        Job {
-            profile_index,
-            home,
-            members: vec![member],
-            total,
-        }
-    }
-
-    /// A coalesced gang. `members` must be in ascending seq order and
-    /// share the profile.
-    pub(crate) fn gang(profile_index: usize, home: usize, members: Vec<Member>) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0].seq < w[1].seq));
         let total = members.iter().map(|m| m.count).sum();
-        Job {
+        let mut gang = Job {
             profile_index,
             home,
             members,
             total,
-        }
+        };
+        gang.adopt(abandons);
+        gang
     }
 
     /// Points every member's abandon attribution at the shard now
@@ -156,20 +147,22 @@ impl Job {
         }
     }
 
-    /// [`adopt`](Self::adopt) plus re-homing — called when a flush
-    /// (re)routes the gang onto a ring: that ring's shard becomes the
-    /// gang's home.
-    pub(crate) fn retag(&mut self, home: usize, abandons: &Arc<AbandonLog>) {
-        self.home = home;
-        self.adopt(abandons);
+    /// Hands the members back for re-staging after a retryable refused
+    /// push (full ring, deadline): nothing was enqueued, so no ticket and
+    /// no abandon log hears about it.
+    pub(crate) fn into_members(self) -> Vec<Member> {
+        self.members
     }
 
-    /// Discards a job that was never accepted by a ring (a refused
-    /// push): the submission failed synchronously, so neither the
-    /// abandon log nor the ticket should hear about it.
-    pub(crate) fn defuse(mut self) {
+    /// Resolves every member with
+    /// [`PoolError::WorkerGone`](crate::PoolError::WorkerGone) after a
+    /// closed (retired) ring refused the gang. The members never reached
+    /// a worker, so no abandon log records them; replay answers `None`
+    /// for them anyway — past the retiring event on the passthrough
+    /// schedule, and in no dispatch record.
+    pub(crate) fn refuse(mut self) {
         for member in &mut self.members {
-            member.fulfilled = true;
+            member.abandons = None;
         }
     }
 
@@ -201,17 +194,17 @@ impl Job {
 /// the counters are *lifetime* counters of the shard — which is what
 /// makes fault triggers (`panic@w0.batch3`) and the failure log's
 /// `fulfilled` field well-defined across resurrections. `requests`
-/// counts gang *members* (i.e. submissions), not gangs, so its meaning
-/// is unchanged from v1.
+/// counts gang *members* (i.e. submissions), not gangs.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerStats {
     requests: AtomicU64,
     samples: AtomicU64,
     batches: AtomicU64,
     /// Samples delivered by the serve that generated them (`count -
-    /// carry_taken` per serve). `fresh / (batches * 64W)` is the
-    /// *dispatch fill ratio*: how full kernel batches are with samples
-    /// someone is actually waiting on — the metric coalescing moves.
+    /// carry_taken` per serve). Samples a serve leaves in the carry are
+    /// not wasted — a later request of the same (shard, profile) takes
+    /// them — so this splits delivery by *when*, not whether, a batch's
+    /// samples reached a caller.
     fresh: AtomicU64,
     /// Gangs this worker served from a sibling's ring.
     steals: AtomicU64,
@@ -245,99 +238,61 @@ impl WorkerStats {
     }
 }
 
-/// Per-profile execution state: reusable kernel scratch plus the carry
-/// of samples left over from the last partially-consumed batch. The
-/// carry is what coalesces small requests within one shard's stream —
-/// the kernel only ever runs full `64 * W`-sample batches, and whatever
-/// a request does not consume is handed to the next request on this
-/// shard, in draw order, with no randomness discarded.
+/// Per-profile execution state: the profile's own PRNG stream, reusable
+/// kernel scratch, and the carry of samples left over from the last
+/// partially-consumed batch. The carry is what coalesces small requests
+/// within one (shard, profile) stream — the kernel only ever runs full
+/// `64 * W`-sample batches, and whatever a request does not consume is
+/// handed to the next request of this profile on this shard, in draw
+/// order, with no randomness discarded.
 struct ProfileState {
     sampler: Arc<CtSampler>,
+    rng: ChaChaRng,
     scratch: LaneScratch,
     carry: VecDeque<i32>,
     /// Reused staging buffer for the final partial batch of a request.
     tail: Vec<i32>,
-    /// The profile's own PRNG stream (per-profile stream layout only;
-    /// `None` under the legacy shared-stream layout).
-    rng: Option<ChaChaRng>,
 }
 
-/// Which PRNG stream layout a [`ShardEngine`] draws from.
+/// One shard's deterministic serving engine for one restart epoch: a
+/// [`ProfileState`] per profile, each drawing from the stream
+/// `seeds.fork_subtree(shard).fork_chacha_epoch(profile, epoch)`
+/// (epoch 0 is the canonical `fork_chacha(profile)`). Because profiles
+/// never share a generator, only the per-(shard, profile) member order
+/// matters — which is what lets staging reorder *across* profiles and a
+/// thief serve a stolen gang on its own streams.
 ///
-/// * `Legacy` — v1: one stream per (shard, epoch), shared by every
-///   profile in submission order. Byte-compatible with every pre-v2
-///   trace.
-/// * `PerProfile` — v2: one stream per (shard, profile, epoch), forked
-///   as `seeds.fork_subtree(shard).fork_chacha_epoch(profile, epoch)`.
-///   Decoupling profiles is what lets coalescing reorder *across*
-///   profiles (and lets a thief serve a stolen gang bit-identically):
-///   only the per-(shard, profile) member order matters, and the
-///   coalescer preserves exactly that.
-pub(crate) enum EngineStreams {
-    Legacy(Box<ChaChaRng>),
-    PerProfile {
-        /// `seeds.fork_subtree(shard)`.
-        subtree: SeedTree,
-        epoch: u64,
-    },
-}
-
-/// The pool-wide stream-layout choice, fixed at spawn: legacy (v1) or
-/// per-profile (v2 / coalescing). The supervisor replays the same choice
-/// for every resurrection epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StreamMode {
-    Legacy,
-    PerProfile,
-}
-
-/// The epoch streams worker `worker` draws from at `epoch` — one place
-/// defines the fork schedule for spawn, resurrection, and replay alike.
-pub(crate) fn epoch_streams(
-    mode: StreamMode,
-    seeds: &SeedTree,
-    worker: u64,
-    epoch: u64,
-) -> EngineStreams {
-    match mode {
-        StreamMode::Legacy => {
-            EngineStreams::Legacy(Box::new(seeds.fork_chacha_epoch(worker, epoch)))
-        }
-        StreamMode::PerProfile => EngineStreams::PerProfile {
-            subtree: seeds.fork_subtree(worker),
-            epoch,
-        },
-    }
-}
-
-/// One shard's deterministic serving engine: the per-profile carry
-/// coalescers plus the epoch's PRNG stream(s).
-///
-/// Extracted from the worker loop so that
-/// [`replay_trace`](crate::replay_trace) and
-/// [`replay_coalesced`](crate::replay_coalesced) can drive the
-/// *identical* code path without threads or rings — the engine, fed the
-/// same (profile, count) sequence over the same streams, is the
-/// definition of what a shard's responses are.
+/// Extracted from the worker loop so that [`replay`](crate::replay) can
+/// drive the *identical* code path without threads or rings — the
+/// engine, fed the same (profile, count) sequence, is the definition of
+/// what a shard's responses are.
 ///
 /// Profile states are created lazily on first use. State creation draws
-/// no randomness (scratch allocation only), so laziness is
-/// determinism-neutral — which is also what makes hot-loaded registry
+/// no randomness (stream fork and scratch allocation only), so laziness
+/// is determinism-neutral — which is also what makes hot-loaded registry
 /// additions visible to already-running workers.
 pub(crate) struct ShardEngine {
     backend: Backend,
     source: ProfileSource,
     states: Vec<Option<ProfileState>>,
-    streams: EngineStreams,
+    /// `seeds.fork_subtree(shard)`.
+    subtree: SeedTree,
+    epoch: u64,
 }
 
 impl ShardEngine {
-    pub(crate) fn new(backend: Backend, source: ProfileSource, streams: EngineStreams) -> Self {
+    pub(crate) fn new(
+        backend: Backend,
+        source: ProfileSource,
+        subtree: SeedTree,
+        epoch: u64,
+    ) -> Self {
         ShardEngine {
             backend,
             source,
             states: Vec::new(),
-            streams,
+            subtree,
+            epoch,
         }
     }
 
@@ -350,18 +305,14 @@ impl ShardEngine {
                 .source
                 .sampler(profile_index)
                 .expect("profile validated at submission");
-            let rng = match &self.streams {
-                EngineStreams::Legacy(_) => None,
-                EngineStreams::PerProfile { subtree, epoch } => {
-                    Some(subtree.fork_chacha_epoch(profile_index as u64, *epoch))
-                }
-            };
             self.states[profile_index] = Some(ProfileState {
+                rng: self
+                    .subtree
+                    .fork_chacha_epoch(profile_index as u64, self.epoch),
                 scratch: sampler.lane_scratch_for(self.backend),
                 sampler,
                 carry: VecDeque::new(),
                 tail: vec![0i32; 64 * self.backend.width()],
-                rng,
             });
         }
     }
@@ -382,13 +333,6 @@ impl ShardEngine {
         let state = self.states[profile_index]
             .as_mut()
             .expect("state ensured above");
-        let rng = match &mut self.streams {
-            EngineStreams::Legacy(rng) => &mut **rng,
-            EngineStreams::PerProfile { .. } => state
-                .rng
-                .as_mut()
-                .expect("per-profile layout forks a stream"),
-        };
         let mut out = vec![0i32; count];
         // Drain the carry (leftovers of the previous request's last batch).
         let take = count.min(state.carry.len());
@@ -402,7 +346,7 @@ impl ShardEngine {
         let batch = 64 * state.scratch.width();
         while count - filled >= batch {
             state.sampler.sample_batch_lanes(
-                rng,
+                &mut state.rng,
                 &mut state.scratch,
                 &mut out[filled..filled + batch],
             );
@@ -413,7 +357,7 @@ impl ShardEngine {
         if filled < count {
             state
                 .sampler
-                .sample_batch_lanes(rng, &mut state.scratch, &mut state.tail);
+                .sample_batch_lanes(&mut state.rng, &mut state.scratch, &mut state.tail);
             let batches = stats.batches.fetch_add(1, Ordering::Relaxed) + 1;
             faults.check(FaultSite::Batch, batches);
             let need = count - filled;
@@ -426,13 +370,15 @@ impl ShardEngine {
 }
 
 /// Everything a worker thread (and the supervisor's respawn path) needs
-/// besides the epoch streams: the shard's queue, sibling queues to steal
-/// from (empty disables stealing), the profile source, and the shared
-/// accounting surfaces.
+/// besides the epoch: the shard's seed subtree and queue, sibling queues
+/// to steal from (empty disables stealing), the profile source, and the
+/// shared accounting surfaces.
 #[derive(Clone)]
 pub(crate) struct WorkerContext {
     pub(crate) index: usize,
     pub(crate) width: LaneWidth,
+    /// `seeds.fork_subtree(index)`: the root of every epoch's streams.
+    pub(crate) subtree: SeedTree,
     pub(crate) shard: Arc<Ring<Job>>,
     /// Sibling rings in scan order (pre-rotated: `index + 1, ...`,
     /// wrapping, self excluded). Empty when stealing is off.
@@ -442,13 +388,13 @@ pub(crate) struct WorkerContext {
     pub(crate) source: ProfileSource,
     pub(crate) stats: Arc<WorkerStats>,
     pub(crate) faults: Arc<ArmedFaults>,
-    /// The per-shard dispatch log (coalescing mode only): the replay
-    /// record of which members this worker served, in order.
-    pub(crate) dispatch: Option<Arc<DispatchLog>>,
+    /// The per-shard dispatch log: the replay record of which members
+    /// this worker served, in order.
+    pub(crate) dispatch: Arc<DispatchLog>,
 }
 
 /// Spawns worker `ctx.index` at the configured lane width, drawing from
-/// `streams` (the epoch streams picked by the caller). The width is
+/// the shard's `epoch` streams. The width is
 /// mapped onto the preferred available SIMD [`Backend`] of that exact
 /// width (`CTGAUSS_FORCE_BACKEND` wins when it matches), so `LaneWidth`
 /// keeps its meaning — batch units of `64 * W` samples — while the
@@ -459,11 +405,7 @@ pub(crate) struct WorkerContext {
 ///
 /// `notice` reports a panicking exit to the supervisor; a graceful exit
 /// (ring closed and drained) reports nothing.
-pub(crate) fn spawn_worker(
-    ctx: WorkerContext,
-    streams: EngineStreams,
-    notice: DeathNotice,
-) -> JoinHandle<()> {
+pub(crate) fn spawn_worker(ctx: WorkerContext, epoch: u64, notice: DeathNotice) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("ctgauss-pool-{}", ctx.index))
         .spawn(move || {
@@ -473,7 +415,8 @@ pub(crate) fn spawn_worker(
             // resolved its tickets and recorded its seqs.
             let _notice = notice;
             let backend = Backend::select_for_width(ctx.width.lanes());
-            let mut engine = ShardEngine::new(backend, ctx.source.clone(), streams);
+            let mut engine =
+                ShardEngine::new(backend, ctx.source.clone(), ctx.subtree.clone(), epoch);
             worker_loop(&mut engine, &ctx)
         })
         .expect("spawn pool worker")
@@ -522,14 +465,12 @@ fn serve_gang(engine: &mut ShardEngine, gang: Job, ctx: &WorkerContext) {
         ctx.faults.check(FaultSite::Request, base + m);
     }
     let samples = engine.serve(gang.profile_index, gang.total, stats, &ctx.faults);
-    if let Some(log) = &ctx.dispatch {
-        log.append(DispatchRecord {
-            shard: ctx.index,
-            home: gang.home,
-            profile_index: gang.profile_index,
-            members: gang.members.iter().map(|m| m.seq).collect(),
-        });
-    }
+    ctx.dispatch.append(DispatchRecord {
+        shard: ctx.index,
+        home: gang.home,
+        profile_index: gang.profile_index,
+        members: gang.members.iter().map(|m| m.seq).collect(),
+    });
     if gang.home != ctx.index {
         stats.steals.fetch_add(1, Ordering::Relaxed);
     }

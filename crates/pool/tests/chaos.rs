@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 
 use ctgauss_core::SamplerSpec;
 use ctgauss_pool::{
-    replay_trace, submit_with_retry, FailureOutcome, FaultPlan, LaneWidth, Pool, PoolError,
-    ProfileId, RestartPolicy, RetryPolicy, SampleRequest, ShardState, TraceEntry, WaitError,
+    replay, submit_with_retry, CoalesceConfig, FailureOutcome, FaultPlan, LaneWidth, Pool,
+    PoolError, ProfileId, RestartPolicy, RetryPolicy, SampleRequest, ShardState, TraceEntry,
+    WaitError,
 };
 use ctgauss_prng::SeedTree;
 
@@ -113,13 +114,14 @@ fn assert_replay_matches(
         })
         .collect();
     let profiles = [test_spec().build_shared().expect("profile builds")];
-    let replayed = replay_trace(
+    let replayed = replay(
         &SeedTree::from_u64_seed(seed),
         &profiles,
         threads,
         LaneWidth::W1,
         &trace,
         &failures,
+        &[],
     );
     assert_eq!(replayed.len(), live.len());
     for (seq, (got, want)) in live.iter().zip(&replayed).enumerate() {
@@ -235,57 +237,81 @@ fn restart_budget_exhaustion_degrades_to_worker_gone() {
     assert_replay_matches(seed, threads, &counts, &live, &pool);
 }
 
+/// The deadline contract on the one submission lane, with and without
+/// staging: a stalled worker backs its ring up, `submit_timeout` refuses
+/// with `TimedOut` and `try_submit` with `Backpressure`, both *without
+/// consuming a seq* (the retried request lands
+/// under the very next one), and the retry helper outlasts the stall.
+/// Requests are one full W1 batch, so every submission dispatches
+/// inline in both modes and meets the full ring.
 #[test]
 fn stalled_worker_trips_deadlines_and_retry_recovers() {
-    let seed = 9;
-    let stall = Duration::from_millis(400);
-    let faults = FaultPlan::new().stall_at_request(0, 1, stall);
-    let mut builder = Pool::builder()
-        .threads(1)
-        .width(LaneWidth::W1)
-        .seed_u64(seed)
-        .queue_capacity(1)
-        .faults(faults);
-    let profile = builder.profile(&test_spec()).expect("profile builds");
-    let pool = builder.spawn();
-    let request = SampleRequest { profile, count: 8 };
+    let staging = CoalesceConfig {
+        steal: false,
+        ..CoalesceConfig::default()
+    };
+    for coalesce in [CoalesceConfig::passthrough(), staging] {
+        let seed = 9;
+        let stall = Duration::from_millis(400);
+        let faults = FaultPlan::new().stall_at_request(0, 1, stall);
+        let mut builder = Pool::builder()
+            .threads(1)
+            .width(LaneWidth::W1)
+            .seed_u64(seed)
+            .queue_capacity(1)
+            .coalesce(coalesce)
+            .faults(faults);
+        let profile = builder.profile(&test_spec()).expect("profile builds");
+        let pool = builder.spawn();
+        let request = SampleRequest { profile, count: 64 };
 
-    // A is claimed, then the worker stalls before serving it.
-    let ticket_a = pool.submit(request).expect("submit A");
-    while pool
-        .metrics()
-        .gauge("pool_shards", "shard0_queue_depth")
-        .unwrap()
-        > 0.0
-    {
-        std::thread::yield_now();
+        // A is claimed, then the worker stalls before serving it.
+        let ticket_a = pool.submit(request).expect("submit A");
+        while pool
+            .metrics()
+            .gauge("pool_shards", "shard0_queue_depth")
+            .unwrap()
+            > 0.0
+        {
+            std::thread::yield_now();
+        }
+        // B fills the only ring slot while the worker sleeps...
+        let _ticket_b = pool.submit(request).expect("submit B");
+        // ...so C cannot be placed before its deadline.
+        match pool.submit_timeout(request, Duration::from_millis(30)) {
+            Err(PoolError::TimedOut) => {}
+            other => panic!("{coalesce:?}: expected TimedOut, got {other:?}"),
+        }
+        // The non-blocking variant refuses the full ring the same way.
+        assert_eq!(
+            pool.try_submit(request).err(),
+            Some(PoolError::Backpressure)
+        );
+        assert_eq!(
+            pool.submitted(),
+            2,
+            "{coalesce:?}: a refusal consumes no seq"
+        );
+        // A bounded ticket wait trips too — and hands the ticket back.
+        let ticket_a = match ticket_a.wait_timeout(Duration::from_millis(30)) {
+            Err(WaitError::TimedOut(ticket)) => ticket,
+            other => panic!("{coalesce:?}: expected ticket timeout, got {other:?}"),
+        };
+        // The retry helper outlasts the stall and lands C after all.
+        let policy = RetryPolicy {
+            attempts: 40,
+            submit_timeout: Duration::from_millis(50),
+            ..RetryPolicy::default()
+        };
+        let ticket_c = submit_with_retry(&pool, request, &policy).expect("retry lands C");
+        // The stall was a delay, not a death: everything is eventually
+        // served and the pool is unblemished.
+        assert_eq!(ticket_a.wait_timeout(HANG).expect("A served").seq, 0);
+        assert_eq!(ticket_c.wait_timeout(HANG).expect("C served").seq, 2);
+        assert!(pool.health().all_alive());
+        assert_eq!(pool.health().restarts(), 0);
+        assert!(pool.failure_log().is_empty());
     }
-    // B fills the only ring slot while the worker sleeps...
-    let _ticket_b = pool.submit(request).expect("submit B");
-    // ...so C cannot be placed before its deadline.
-    match pool.submit_timeout(request, Duration::from_millis(30)) {
-        Err(PoolError::TimedOut) => {}
-        other => panic!("expected TimedOut, got {other:?}"),
-    }
-    // A bounded ticket wait trips too — and hands the ticket back.
-    let ticket_a = match ticket_a.wait_timeout(Duration::from_millis(30)) {
-        Err(WaitError::TimedOut(ticket)) => ticket,
-        other => panic!("expected ticket timeout, got {other:?}"),
-    };
-    // The retry helper outlasts the stall and lands C after all.
-    let policy = RetryPolicy {
-        attempts: 40,
-        submit_timeout: Duration::from_millis(50),
-        ..RetryPolicy::default()
-    };
-    let ticket_c = submit_with_retry(&pool, request, &policy).expect("retry lands C");
-    // The stall was a delay, not a death: everything is eventually served
-    // and the pool is unblemished.
-    assert_eq!(ticket_a.wait_timeout(HANG).expect("A served").seq, 0);
-    assert_eq!(ticket_c.wait_timeout(HANG).expect("C served").seq, 2);
-    assert!(pool.health().all_alive());
-    assert_eq!(pool.health().restarts(), 0);
-    assert!(pool.failure_log().is_empty());
 }
 
 #[test]

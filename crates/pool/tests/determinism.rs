@@ -1,19 +1,22 @@
 //! The pool's determinism contract, tested end to end.
 //!
-//! 1. `threads = 1, W = 1` reproduces the scalar `CtSampler::sample_into`
-//!    stream bit for bit over the worker's forked generator.
+//! 1. `threads = 1, W = 1` reproduces, per profile `p`, the scalar
+//!    `CtSampler::sample_into` stream bit for bit over
+//!    `seeds.fork_subtree(0).fork_chacha(p)`.
 //! 2. Every `LaneWidth` produces the identical stream (the draw-order
 //!    contract lifted to the service).
 //! 3. Any `(threads, width)` is replayable: the full response set is a
 //!    pure function of (seed, request trace), equal to a per-shard
-//!    scalar simulation.
+//!    scalar simulation, and `replay` reconstructs it — from the
+//!    passthrough schedule, or from the dispatch log once stealing or a
+//!    death under staging moved work.
 
 use std::sync::Arc;
 
 use ctgauss_core::{CtSampler, SamplerSpec};
 use ctgauss_pool::{
-    replay_coalesced, replay_coalesced_clean, replay_trace, CoalesceConfig, FaultPlan, LaneWidth,
-    Pool, PoolError, ProfileId, SampleRequest, TraceEntry, WaitError,
+    replay, CoalesceConfig, FaultPlan, LaneWidth, Pool, PoolError, ProfileId, SampleRequest,
+    TraceEntry, WaitError,
 };
 use ctgauss_prng::SeedTree;
 
@@ -48,26 +51,55 @@ fn run_trace(pool: &Pool, profile: ProfileId, trace: &[usize]) -> Vec<Vec<i32>> 
         .collect()
 }
 
+/// Per-profile streams: at one thread, each profile's concatenated
+/// responses — over a trace that interleaves two profiles — equal one
+/// scalar `sample_into` call over that profile's forked stream.
 #[test]
 fn single_thread_pool_reproduces_scalar_sample_into() {
     let seed = 2024;
-    let (pool, profile) = pool_with(1, LaneWidth::W1, seed);
-    let responses = run_trace(&pool, profile, &TRACE);
-    let pooled: Vec<i32> = responses.concat();
+    let specs = v2_specs();
+    let mut builder = Pool::builder()
+        .threads(1)
+        .width(LaneWidth::W1)
+        .seed_u64(seed);
+    let ids: Vec<ProfileId> = specs
+        .iter()
+        .map(|spec| builder.profile(spec).expect("profile builds"))
+        .collect();
+    let pool = builder.spawn();
+    // TRACE's counts, profiles interleaved: 0, 1, 1, 0, 1, 1, ...
+    let trace: Vec<TraceEntry> = TRACE
+        .iter()
+        .enumerate()
+        .map(|(i, &count)| TraceEntry {
+            profile_index: usize::from(i % 3 != 0),
+            count,
+        })
+        .collect();
+    let responses = run_v2_trace(&pool, &ids, &trace);
 
-    // The scalar reference: one sample_into call of the total length over
-    // the same forked stream the single worker owns.
-    let sampler = test_spec().builder().build().expect("builds");
-    let mut rng = SeedTree::from_u64_seed(seed).fork_chacha(0);
-    let mut reference = vec![0i32; TRACE.iter().sum()];
-    sampler.sample_into(&mut reference, &mut rng);
-
-    assert_eq!(
-        pooled, reference,
-        "pool(threads=1, W=1) != scalar sample_into"
-    );
-    for (i, (r, &count)) in responses.iter().zip(&TRACE).enumerate() {
-        assert_eq!(r.len(), count, "request {i} length");
+    let seeds = SeedTree::from_u64_seed(seed);
+    for (p, spec) in specs.iter().enumerate() {
+        let pooled: Vec<i32> = trace
+            .iter()
+            .zip(&responses)
+            .filter(|(entry, _)| entry.profile_index == p)
+            .flat_map(|(entry, response)| {
+                let samples = response.as_ref().expect("clean run serves all");
+                assert_eq!(samples.len(), entry.count, "response length");
+                samples.iter().copied()
+            })
+            .collect();
+        // The scalar reference: one sample_into call of the profile's
+        // total length over the stream the single worker owns for it.
+        let sampler = spec.builder().build().expect("builds");
+        let mut rng = seeds.fork_subtree(0).fork_chacha(p as u64);
+        let mut reference = vec![0i32; pooled.len()];
+        sampler.sample_into(&mut reference, &mut rng);
+        assert_eq!(
+            pooled, reference,
+            "profile {p}: pool(threads=1, W=1) != scalar sample_into"
+        );
     }
 }
 
@@ -157,7 +189,7 @@ fn sharded_responses_match_per_shard_scalar_simulation() {
 
     // Simulate each shard: requests are assigned round-robin by sequence
     // number, and a shard's concatenated output is one scalar
-    // sample_into over its forked stream.
+    // sample_into over its (shard, profile 0) stream.
     let sampler = test_spec().builder().build().expect("builds");
     let seeds = SeedTree::from_u64_seed(seed);
     for w in 0..threads {
@@ -168,7 +200,7 @@ fn sharded_responses_match_per_shard_scalar_simulation() {
             .map(|(seq, &count)| (seq, count))
             .collect();
         let total: usize = shard_requests.iter().map(|&(_, c)| c).sum();
-        let mut rng = seeds.fork_chacha(w as u64);
+        let mut rng = seeds.fork_subtree(w as u64).fork_chacha(0);
         let mut stream = vec![0i32; total];
         sampler.sample_into(&mut stream, &mut rng);
         let mut offset = 0;
@@ -185,12 +217,13 @@ fn sharded_responses_match_per_shard_scalar_simulation() {
 
 /// The determinism contract under failure: a worker panic mid-trace must
 /// not cost the run its replayability. The pool records the death in its
-/// failure log; `replay_trace(seed, trace, failure_log)` —
-/// single-threaded, no pool — must then reproduce every fulfilled
-/// response bit for bit and predict exactly which requests were
-/// abandoned. Checked at two lane widths: each width's live run matches
-/// *its own* replay (the abandonment pattern is allowed to differ
-/// between runs; the triple pins it).
+/// failure log; `replay(seed, trace, failure_log)` — single-threaded, no
+/// pool — must then reproduce every fulfilled response bit for bit and
+/// predict exactly which requests were abandoned, and must agree whether
+/// it follows the passthrough schedule (empty dispatch log) or the
+/// pool's own dispatch log. Checked at two lane widths: each width's
+/// live run matches *its own* replay (the abandonment pattern is allowed
+/// to differ between runs; the failure log pins it).
 #[test]
 fn crashed_run_replays_bit_exactly_from_its_failure_log() {
     let seed = 606;
@@ -236,26 +269,33 @@ fn crashed_run_replays_bit_exactly_from_its_failure_log() {
             })
             .collect();
         let profiles = [test_spec().build_shared().expect("profile builds")];
-        let replayed = replay_trace(
-            &SeedTree::from_u64_seed(seed),
+        let seeds = SeedTree::from_u64_seed(seed);
+        let schedule = replay(&seeds, &profiles, threads, width, &entries, &failures, &[]);
+        let logged = replay(
+            &seeds,
             &profiles,
             threads,
             width,
             &entries,
             &failures,
+            &pool.dispatch_log(),
         );
-        for (seq, (got, want)) in live.iter().zip(&replayed).enumerate() {
+        assert_eq!(
+            schedule, logged,
+            "width {width:?}: schedule vs dispatch log"
+        );
+        for (seq, (got, want)) in live.iter().zip(&schedule).enumerate() {
             assert_eq!(got, want, "width {width:?} diverged at request seq {seq}");
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Coalescing (v2) determinism: dispatch-log replay, trace-only clean
-// replay, passthrough equivalence, stealing, and chaos.
+// Staging determinism: dispatch-log and passthrough-schedule replay,
+// passthrough equivalence, stealing, and chaos.
 // ---------------------------------------------------------------------
 
-/// The specs the v2 tests register, in index order.
+/// The specs the multi-profile tests register, in index order.
 fn v2_specs() -> [SamplerSpec; 2] {
     [SamplerSpec::new("2", 16), SamplerSpec::new("1.5", 16)]
 }
@@ -315,7 +355,7 @@ fn run_v2_trace(pool: &Pool, ids: &[ProfileId], trace: &[TraceEntry]) -> Vec<Opt
                 profile: ids[entry.profile_index],
                 count: entry.count,
             })
-            .expect("v2 submission stages")
+            .expect("submission accepted")
         })
         .collect();
     tickets
@@ -330,10 +370,10 @@ fn run_v2_trace(pool: &Pool, ids: &[ProfileId], trace: &[TraceEntry]) -> Vec<Opt
         .collect()
 }
 
-/// The tentpole contract: a coalesced run — requests ganged across
-/// submissions, served batch-at-a-time — replays bit-exactly from
-/// (seed, trace, width, dispatch log), at more than one width, and the
-/// trace-only clean replay agrees too.
+/// A coalesced run — requests ganged across submissions, served
+/// batch-at-a-time — replays bit-exactly from (seed, trace, width,
+/// dispatch log), at more than one width, and the trace-only passthrough
+/// schedule agrees too.
 #[test]
 fn coalesced_tiny_requests_replay_bit_exactly_from_dispatch_log() {
     let seed = 7171;
@@ -363,41 +403,30 @@ fn coalesced_tiny_requests_replay_bit_exactly_from_dispatch_log() {
             "width {width:?}: {gangs} gangs for {members} members — nothing coalesced"
         );
 
-        let dispatch = pool.dispatch_log();
+        let seeds = SeedTree::from_u64_seed(seed);
         let profiles = v2_profiles();
-        let replayed = replay_coalesced(
-            &SeedTree::from_u64_seed(seed),
+        let replayed = replay(
+            &seeds,
             &profiles,
+            threads,
             width,
             &trace,
-            &pool.failure_log(),
-            &dispatch,
+            &[],
+            &pool.dispatch_log(),
         );
         for (seq, (got, want)) in live.iter().zip(&replayed).enumerate() {
             assert_eq!(got, want, "width {width:?} diverged at seq {seq}");
         }
 
-        // Clean run, stealing off: the trace-only replay (what an
-        // offline verifier without server logs uses) agrees too.
-        let clean = replay_coalesced_clean(
-            &SeedTree::from_u64_seed(seed),
-            &profiles,
-            threads,
-            width,
-            &trace,
-        );
-        for (seq, (got, want)) in live.iter().zip(&clean).enumerate() {
-            assert_eq!(
-                got.as_ref(),
-                Some(want),
-                "width {width:?} clean replay diverged at seq {seq}"
-            );
-        }
+        // Clean run, stealing off: the trace-only passthrough schedule
+        // (what an offline verifier without server logs uses) agrees too.
+        let schedule = replay(&seeds, &profiles, threads, width, &trace, &[], &[]);
+        assert_eq!(live, schedule, "width {width:?}: passthrough schedule");
     }
 }
 
 /// Coalescing must change latency, not values: at one thread, a
-/// passthrough run (staging disabled, same v2 stream layout) delivers
+/// passthrough run (staging disabled, same stream layout) delivers
 /// bit-identical per-request samples to a coalesced run of the same
 /// trace.
 #[test]
@@ -421,8 +450,9 @@ fn passthrough_matches_coalesced_at_one_thread() {
 fn stolen_gangs_are_recorded_and_replay_bit_exactly() {
     let seed = 5150;
     let threads = 2;
-    // Every request on profile 0 → home shard 0; worker 0 stalls on its
-    // first member while the rest of the trace queues behind it.
+    // Full-batch requests alternate between the shards (home = seq mod
+    // threads); worker 0 stalls on its first member while its half of
+    // the trace queues behind it.
     let trace: Vec<TraceEntry> = (0..40)
         .map(|_| TraceEntry {
             profile_index: 0,
@@ -443,8 +473,8 @@ fn stolen_gangs_are_recorded_and_replay_bit_exactly() {
 
     // Submit the first request alone and wait for worker 0 to claim it
     // (queue drained): the stall then pins worker 0 *mid-serve* with an
-    // empty claim buffer, so everything submitted next queues on ring 0
-    // where the idle worker 1 finds it.
+    // empty claim buffer, so its later requests queue on ring 0 where
+    // worker 1 finds them once its own half is served.
     let first = pool
         .submit(SampleRequest {
             profile: ids[0],
@@ -495,9 +525,10 @@ fn stolen_gangs_are_recorded_and_replay_bit_exactly() {
         "the dispatch log attributes stolen gangs to the thief"
     );
 
-    let replayed = replay_coalesced(
+    let replayed = replay(
         &SeedTree::from_u64_seed(seed),
         &v2_profiles(),
+        threads,
         LaneWidth::W1,
         &trace,
         &pool.failure_log(),
@@ -540,9 +571,10 @@ fn coalesced_chaos_run_replays_from_failure_and_dispatch_logs() {
     let abandoned = live.iter().filter(|r| r.is_none()).count();
     assert!(abandoned >= 1, "the panicking gang was abandoned");
 
-    let replayed = replay_coalesced(
+    let replayed = replay(
         &SeedTree::from_u64_seed(seed),
         &v2_profiles(),
+        threads,
         LaneWidth::W1,
         &trace,
         &failures,
@@ -555,12 +587,21 @@ fn coalesced_chaos_run_replays_from_failure_and_dispatch_logs() {
 
 #[test]
 fn distinct_workers_draw_distinct_streams() {
-    // Two equal-size requests land on workers 0 and 1; their samples must
-    // come from different forked streams (overwhelmingly: 256 samples).
+    // Two equal-size requests of a default (passthrough) single-profile
+    // pool land on workers 0 and 1 by seq; their samples must come from
+    // different forked streams (overwhelmingly: 256 samples), and both
+    // shards must have served.
     let (pool, profile) = pool_with(2, LaneWidth::W1, 1);
     let a = pool.sample_vec(profile, 256).expect("worker 0");
     let b = pool.sample_vec(profile, 256).expect("worker 1");
     assert_ne!(a, b, "worker streams must be independent");
+    let metrics = pool.metrics();
+    for shard in 0..2 {
+        let served = metrics
+            .counter("pool_shards", &format!("shard{shard}_requests"))
+            .expect("per-shard counter");
+        assert!(served > 0, "shard {shard} served nothing");
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! the pool's replay contract applied over the wire: every `Samples`
 //! response carries its pool sequence number, the server's replay-audit
 //! endpoint publishes the authoritative (trace, failure log) pair, and
-//! [`verify_replay`] recomputes what seq must contain from the seed the
+//! [`verify_replay_coalesced`] recomputes what seq must contain from the seed the
 //! verifier holds out of band. Retries, reordering, shed requests —
 //! none of it matters to the check, because the comparison is keyed by
 //! sequence number, not by who asked when.
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ctgauss_core::{CtSampler, SamplerSpec};
-use ctgauss_pool::{replay_coalesced_clean, replay_trace, Backoff};
+use ctgauss_pool::{replay, Backoff};
 use ctgauss_prng::{RandomSource, SeedTree, SplitMix64};
 use ctgauss_rpc_core::{ReplayAudit, RequestBody, ResponseBody, WireError};
 
@@ -32,7 +32,7 @@ use crate::{Client, ClientError};
 pub const STANDARD_PROFILES: [(&str, u32); 3] = [("2", 24), ("6.15543", 24), ("1.5", 24)];
 
 /// Builds the first `k` standard profiles as shared samplers (the form
-/// both a pool builder and [`verify_replay`] take).
+/// both a pool builder and [`verify_replay_coalesced`] take).
 ///
 /// # Panics
 ///
@@ -443,7 +443,7 @@ pub fn run_load(
     })
 }
 
-/// What [`verify_replay`] found.
+/// What [`verify_replay_coalesced`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyReport {
     /// `Samples` outcomes compared against the offline replay.
@@ -462,30 +462,37 @@ impl VerifyReport {
 
 /// The end-to-end bit-exactness check: replays the server's audited
 /// (trace, failure log) under `seed` — which never crossed the wire;
-/// the verifier holds it because it started the server — and demands
-/// that every `Samples` outcome matches `offline[seq]` exactly.
-/// Retries, shedding, and reordering cannot perturb this: the
-/// comparison is keyed by the pool sequence number the response itself
-/// carries.
+/// the verifier holds it because it started the server — on the
+/// passthrough schedule (an empty dispatch log, see
+/// [`ctgauss_pool::replay`]) and demands that every `Samples` outcome
+/// matches `offline[seq]` exactly. Retries, shedding, and reordering
+/// cannot perturb this: the comparison is keyed by the pool sequence
+/// number the response itself carries.
+///
+/// Valid for a passthrough pool, with or without worker failures, and
+/// for a steal-free staging pool whose audit has no failures: staging
+/// keeps each (shard, profile) in seq order, so gang packing is
+/// invisible to the values.
 ///
 /// # Panics
 ///
 /// Panics if the audit's lane width is invalid (impossible for a
 /// decoded audit — the codecs validate it).
-pub fn verify_replay(
+pub fn verify_replay_coalesced(
     seed: u64,
     audit: &ReplayAudit,
     outcomes: &[RequestOutcome],
     profiles: &[Arc<CtSampler>],
 ) -> VerifyReport {
     let width = audit.width().expect("codec-validated lane width");
-    let offline = replay_trace(
+    let offline = replay(
         &SeedTree::from_u64_seed(seed),
         profiles,
         audit.threads as usize,
         width,
         &audit.trace_entries(),
         &audit.failure_events(),
+        &[],
     );
     let mut compared = 0;
     let mut mismatches = 0;
@@ -494,53 +501,6 @@ pub fn verify_replay(
             compared += 1;
             match offline.get(*seq as usize) {
                 Some(Some(expected)) if expected == samples => {}
-                _ => mismatches += 1,
-            }
-        }
-    }
-    VerifyReport {
-        compared,
-        mismatches,
-    }
-}
-
-/// [`verify_replay`] for a server whose pool runs the v2 coalescer with
-/// stealing disabled: the offline oracle is
-/// [`replay_coalesced_clean`], which re-derives each request's samples
-/// purely from its position in the per-(shard, profile) draw stream —
-/// the draw-order contract makes gang packing invisible. Valid only for
-/// a failure-free audit (clean replay has no failure log to honor);
-/// a chaos leg must verify through the dispatch-log path instead.
-///
-/// # Panics
-///
-/// Panics if the audit carries failure events or an invalid lane width
-/// — both harness-configuration bugs for a coalescing leg.
-pub fn verify_replay_coalesced(
-    seed: u64,
-    audit: &ReplayAudit,
-    outcomes: &[RequestOutcome],
-    profiles: &[Arc<CtSampler>],
-) -> VerifyReport {
-    assert!(
-        audit.failures.is_empty(),
-        "clean coalesced verification requires a failure-free audit"
-    );
-    let width = audit.width().expect("codec-validated lane width");
-    let offline = replay_coalesced_clean(
-        &SeedTree::from_u64_seed(seed),
-        profiles,
-        audit.threads as usize,
-        width,
-        &audit.trace_entries(),
-    );
-    let mut compared = 0;
-    let mut mismatches = 0;
-    for outcome in outcomes {
-        if let RequestOutcome::Samples { seq, samples, .. } = outcome {
-            compared += 1;
-            match offline.get(*seq as usize) {
-                Some(expected) if expected == samples => {}
                 _ => mismatches += 1,
             }
         }

@@ -303,7 +303,7 @@ impl WireFailure {
     }
 
     /// Reconstructs the pool-side failure event — the client feeds these
-    /// straight into [`replay_trace`](ctgauss_pool::replay_trace).
+    /// straight into [`replay`](ctgauss_pool::replay).
     pub fn to_event(&self) -> FailureEvent {
         FailureEvent {
             worker: self.worker as usize,
@@ -324,7 +324,7 @@ impl WireFailure {
 
 /// The replay-audit payload: everything except the seed that a client
 /// needs to reproduce the server's responses offline with
-/// [`replay_trace`](ctgauss_pool::replay_trace). The seed itself never
+/// [`replay`](ctgauss_pool::replay). The seed itself never
 /// crosses the wire — worker streams feed cryptographic consumers, so
 /// the audit contract deliberately requires the verifier to hold the
 /// seed out of band (in CI, the harness started the server and knows it).
@@ -363,13 +363,13 @@ impl ReplayAudit {
     }
 
     /// The trace as pool-side entries, ready for
-    /// [`replay_trace`](ctgauss_pool::replay_trace).
+    /// [`replay`](ctgauss_pool::replay).
     pub fn trace_entries(&self) -> Vec<TraceEntry> {
         self.trace.iter().map(|e| e.to_trace_entry()).collect()
     }
 
     /// The failure log as pool-side events, ready for
-    /// [`replay_trace`](ctgauss_pool::replay_trace).
+    /// [`replay`](ctgauss_pool::replay).
     pub fn failure_events(&self) -> Vec<FailureEvent> {
         self.failures.iter().map(WireFailure::to_event).collect()
     }

@@ -617,13 +617,13 @@ fn sample_work(
                 audit.push(WireTraceEntry { profile, count });
                 Ok(ticket)
             }
-            Err(error @ (PoolError::WorkerGone | PoolError::ShuttingDown)) => {
-                // A closed-ring refusal consumed the sequence number (the
-                // request→shard map stays total), so the audit trace must
-                // record it even though no ticket exists — exactly how
-                // `replay_trace` models retired shards.
+            Err(PoolError::WorkerGone) => {
+                // A retired shard's refusal consumed the sequence number
+                // (the request→shard map stays total), so the audit trace
+                // must record it even though no ticket exists — exactly
+                // how `replay` models retired shards.
                 audit.push(WireTraceEntry { profile, count });
-                Err(error)
+                Err(PoolError::WorkerGone)
             }
             Err(error) => Err(error),
         }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ctgauss_core::{CtSampler, SamplerSpec};
-use ctgauss_pool::{replay_trace, FaultPlan, LaneWidth, Pool, ProfileId};
+use ctgauss_pool::{replay, FaultPlan, LaneWidth, Pool, ProfileId};
 use ctgauss_prng::SeedTree;
 use ctgauss_rpc_client::{Client, ClientError, ConnectOptions};
 use ctgauss_rpc_core::{CodecKind, ErrorKind, RequestBody, ResponseBody};
@@ -73,13 +73,14 @@ fn connect(fixture: &Fixture, codec: CodecKind) -> Client {
 /// bit-identical to what `seq` must contain.
 fn assert_replays(fixture: &Fixture, client: &mut Client, pairs: &[(u64, Vec<i32>)]) {
     let audit = client.replay_audit(RPC_TIMEOUT).expect("audit");
-    let offline = replay_trace(
+    let offline = replay(
         &SeedTree::from_u64_seed(fixture.seed),
         std::slice::from_ref(&fixture.shared),
         fixture.threads,
         audit.width().expect("valid width"),
         &audit.trace_entries(),
         &audit.failure_events(),
+        &[],
     );
     for (seq, samples) in pairs {
         assert_eq!(
@@ -203,13 +204,14 @@ fn registry_lifecycle_over_the_wire() {
         Arc::clone(&fixture.shared),
         SamplerSpec::new("1.5", 16).build_shared().expect("profile"),
     ];
-    let offline = replay_trace(
+    let offline = replay(
         &SeedTree::from_u64_seed(fixture.seed),
         &registered,
         fixture.threads,
         audit.width().expect("valid width"),
         &audit.trace_entries(),
         &audit.failure_events(),
+        &[],
     );
     for (seq, samples) in [(hot_seq, hot_samples), (seq, samples)] {
         assert_eq!(

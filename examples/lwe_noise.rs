@@ -1,13 +1,14 @@
 //! Using the constant-time sampler as an LWE noise source — the original
 //! motivation for discrete Gaussian sampling in lattice cryptography
 //! (Section 1 of the paper) — driven the way a real encryption service
-//! would drive it: many independent callers each asking the shared v2
+//! would drive it: many independent callers each asking the shared
 //! pool for a *handful* of noise samples at a time.
 //!
 //! Each of 256 toy encryptions submits its own tiny request (one error
-//! term per LWE row), the pool's cross-request coalescer packs those
-//! tiny requests into full kernel batches, and the example prints the
-//! dispatch fill ratio to show the batches actually ran full. The noise
+//! term per LWE row). The per-(shard, profile) carry already runs only
+//! full kernel batches; the pool's staging coalescer additionally gangs
+//! the tiny requests, so one engine pass serves many of them, and the
+//! example prints gangs per request to show it. The noise
 //! profile is hot-loaded into the running pool through the profile
 //! registry — with `CTGAUSS_CACHE_DIR` pointing at a warmed kernel
 //! cache, that load skips synthesis entirely. The error distribution is
@@ -29,7 +30,7 @@ const Q: i64 = 12289;
 const DIM: usize = 64;
 
 fn main() {
-    // A coalescing pool booted with one stock profile: the service
+    // A staging pool booted with one stock profile: the service
     // starts first, workload-specific noise profiles arrive at runtime
     // through the registry.
     let mut builder = Pool::builder()
@@ -114,16 +115,19 @@ fn main() {
     println!("max |error| = {max_err} (tail cut at 13 * 3.2 = 41)");
 
     // The coalescer's receipt: 256 one-sample requests, far fewer
-    // kernel batches. dispatch_fill_ratio counts only fresh draws
-    // someone waited on, so uncoalesced this workload would sit at
-    // 1/64 ≈ 0.016.
+    // gangs (engine passes). Kernel batches are the same either way —
+    // the carry hands each batch's unused samples to the next request —
+    // so batch_fill_ratio (delivered / generated) stays near 1 even
+    // without staging; what staging saves is the per-request pass.
     let metrics = pool.metrics();
-    let fill = metrics
-        .gauge("pool", "dispatch_fill_ratio")
-        .unwrap_or_default();
     let gangs = metrics.counter("pool", "gangs_flushed").unwrap_or(0);
+    let fill = metrics
+        .gauge("pool", "batch_fill_ratio")
+        .unwrap_or_default();
     println!(
-        "coalescer packed {rows} tiny requests into {gangs} gangs, dispatch fill ratio {fill:.3}"
+        "coalescer packed {rows} tiny requests into {gangs} gangs ({:.3} gangs/request), \
+         batch fill ratio {fill:.3}",
+        gangs as f64 / rows as f64
     );
 
     // Validate the noise distribution at scale (bulk requests this

@@ -36,9 +36,9 @@
 //! else a built-in default) and switches submission to the bounded
 //! retry path. Under chaos, two live runs legitimately differ (which
 //! requests die with a worker is timing-dependent), so `--verify`
-//! instead checks each live run against `replay_trace` over its own
-//! failure log: every fulfilled response must match bit for bit, every
-//! missing response must be one the log accounts for.
+//! instead checks each live run against `replay` over its own failure
+//! log: every fulfilled response must match bit for bit, every missing
+//! response must be one the log accounts for.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -48,8 +48,8 @@ use std::time::{Duration, Instant};
 
 use ctgauss_core::CtSampler;
 use ctgauss_pool::{
-    replay_trace, submit_with_retry, FaultKind, FaultPlan, LaneWidth, MetricsSnapshot, Pool,
-    PoolError, RetryPolicy, SampleRequest, TraceEntry, WaitError, FAULTS_ENV,
+    submit_with_retry, FaultKind, FaultPlan, LaneWidth, MetricsSnapshot, Pool, PoolError,
+    RetryPolicy, SampleRequest, TraceEntry, WaitError, FAULTS_ENV,
 };
 use ctgauss_prng::SeedTree;
 // Trace generation/parsing, percentiles, the response checksum, and the
@@ -288,13 +288,14 @@ fn replay(
                 count: line.count,
             })
             .collect();
-        let offline = replay_trace(
+        let offline = ctgauss_pool::replay(
             &SeedTree::from_u64_seed(seed),
             shared,
             threads,
             width,
             &entries,
             &failures,
+            &[],
         );
         let replay_mismatches = live
             .iter()
