@@ -1,19 +1,18 @@
-//! The three execution engines raced per 64-sample batch (PRNG excluded —
-//! all sides consume the same pre-generated words):
+//! The two execution engines raced per 64-sample batch (PRNG excluded —
+//! both sides consume the same pre-generated words):
 //!
 //! * `interpreter` — `CtSampler::run_batch_reference`: per-op `match` over
 //!   the full SSA register file (the reference oracle).
-//! * `compiled` — `CtSampler::run_batch_compiled`: the optimizing lowering
-//!   (DCE, fusion, GVN, list scheduling, slot allocation), still one
-//!   dispatch per instruction.
 //! * `tiled` — `CtSampler::run_batch`: the production superinstruction
-//!   engine, one dispatch per 2–4-op tile over a dense-packed stream.
+//!   engine — the optimizing lowering (DCE, fusion, GVN, list scheduling,
+//!   slot allocation) re-encoded as one dispatch per 2–4-op tile over a
+//!   dense-packed stream.
 //!
 //! Divide the reported per-batch time by 64 for per-sample ns. The wide
 //! rows execute 4 batch records per kernel pass through reusable scratch
-//! (256 samples per iteration). Static dispatch counts per engine are
-//! printed at setup: the tiled engine's ~3–4× reduction there is the
-//! mechanism behind its scalar speedup.
+//! (256 samples per iteration). Static dispatch counts are printed at
+//! setup: the tiled engine's ~3–4× reduction versus one dispatch per
+//! lowered instruction is the mechanism behind its scalar speedup.
 //!
 //! Configurations: sigma = 2 at n = 24 (the acceptance configuration),
 //! the paper's Falcon base distribution sigma = 2 at n = 128, and the
@@ -38,14 +37,13 @@ fn bench_kernel_compare(c: &mut Criterion) {
             .build()
             .expect("valid parameters");
         let interp_dispatch = sampler.program().ops().len();
-        let compiled_dispatch = sampler.kernel().instrs().len();
         let tiled = sampler.tiled_kernel();
+        let micro_ops = tiled.stats().micro_ops;
         eprintln!(
             "[kernel_compare] {id}: static dispatches interpreter={interp_dispatch} \
-             compiled={compiled_dispatch} tiled={} ({:.2}x fewer, {} micro-ops, {})",
+             tiled={} ({:.2}x fewer than its {micro_ops} micro-ops, {})",
             tiled.dispatch_count(),
-            compiled_dispatch as f64 / tiled.dispatch_count() as f64,
-            tiled.stats().micro_ops,
+            micro_ops as f64 / tiled.dispatch_count() as f64,
             if tiled.stats().dense {
                 "dense u32"
             } else {
@@ -59,9 +57,6 @@ fn bench_kernel_compare(c: &mut Criterion) {
         group.throughput(Throughput::Elements(64));
         group.bench_with_input(BenchmarkId::new("interpreter", &id), &id, |b, _| {
             b.iter(|| std::hint::black_box(sampler.run_batch_reference(&inputs, signs)))
-        });
-        group.bench_with_input(BenchmarkId::new("compiled", &id), &id, |b, _| {
-            b.iter(|| std::hint::black_box(sampler.run_batch_compiled(&inputs, signs)))
         });
         group.bench_with_input(BenchmarkId::new("tiled", &id), &id, |b, _| {
             b.iter(|| std::hint::black_box(sampler.run_batch(&inputs, signs)))

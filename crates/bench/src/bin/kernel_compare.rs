@@ -1,8 +1,7 @@
 //! Artifact-emitting twin of the `kernel_compare` Criterion bench: the
-//! three execution engines (reference interpreter, compiled per-op
-//! kernel, tiled superinstruction engine) raced per 64-sample batch with
-//! PRNG excluded, plus every available lane backend through the
-//! dispatched tiled executor.
+//! two execution engines (reference interpreter, tiled superinstruction
+//! engine) raced per 64-sample batch with PRNG excluded, plus every
+//! available lane backend through the dispatched tiled executor.
 //!
 //! The Criterion bench remains the statistically careful local tool;
 //! this binary is the trend line — best-of-runs wall nanoseconds (the
@@ -51,14 +50,10 @@ fn main() {
         let interp = measure_ns_floor(runs, || {
             std::hint::black_box(sampler.run_batch_reference(&inputs, signs));
         });
-        let compiled = measure_ns_floor(runs, || {
-            std::hint::black_box(sampler.run_batch_compiled(&inputs, signs));
-        });
         let tiled = measure_ns_floor(runs, || {
             std::hint::black_box(sampler.run_batch(&inputs, signs));
         });
         report.metric(format!("{id}_interpreter_ns"), interp as f64);
-        report.metric(format!("{id}_compiled_ns"), compiled as f64);
         report.metric(format!("{id}_tiled_ns"), tiled as f64);
         report.metric(
             format!("{id}_tiled_speedup_vs_interpreter"),
@@ -68,7 +63,6 @@ fn main() {
             id.clone(),
             "64".to_owned(),
             interp.to_string(),
-            compiled.to_string(),
             tiled.to_string(),
             format!("{:.2}x", interp as f64 / tiled as f64),
         ]);
@@ -98,7 +92,6 @@ fn main() {
                 format!("{id} [{}]", backend.name()),
                 format!("{}", 64 * w),
                 String::new(),
-                String::new(),
                 format!("{per_pass} ({per_sample:.1}/sample)"),
                 String::new(),
             ]);
@@ -106,14 +99,7 @@ fn main() {
     }
     println!("kernel_compare: best-of-runs wall ns per batch, PRNG excluded\n");
     print_table(
-        &[
-            "profile",
-            "samples/iter",
-            "interpreter",
-            "compiled",
-            "tiled",
-            "speedup",
-        ],
+        &["profile", "samples/iter", "interpreter", "tiled", "speedup"],
         &rows,
     );
     report.write().expect("write BENCH_kernel_compare.json");

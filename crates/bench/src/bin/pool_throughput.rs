@@ -93,7 +93,7 @@ fn main() {
     println!(
         "shared kernel built once in {:.2?} ({} slots), Arc-cloned into every pool\n",
         build_start.elapsed(),
-        shared.kernel().num_slots()
+        shared.tiled_kernel().num_slots()
     );
 
     let requests = args.total.div_ceil(args.request);

@@ -10,7 +10,7 @@
 //!   probe checks),
 //! * the [`CompiledKernel`] / [`TiledKernel`] pair, stored once as the
 //!   tiled kernel's micro-op stream + tile stream + slot map + outputs
-//!   (the per-op kernel decodes from the same stream, exactly as
+//!   (the compiled kernel decodes from the same stream, exactly as
 //!   [`TiledKernel::micro_instrs`] guarantees),
 //! * an opaque `meta` section for the embedding application (the core
 //!   crate stores its build report and stage fingerprints there).
@@ -340,7 +340,7 @@ impl KernelArtifact {
         &self.program
     }
 
-    /// The per-op compiled kernel.
+    /// The compiled kernel: the lowering IR the tiled kernel re-encodes.
     pub fn kernel(&self) -> &CompiledKernel {
         &self.kernel
     }
@@ -632,7 +632,7 @@ fn check_parts(program: &Program, kernel: &CompiledKernel, tiled: &TiledKernel) 
     assert_eq!(
         tiled.micro_instrs(),
         kernel.instrs(),
-        "tiled kernel must re-encode the per-op kernel"
+        "tiled kernel must re-encode the compiled kernel"
     );
 }
 
@@ -693,7 +693,7 @@ pub fn encode(
     }
 
     // Tiled-kernel section: slot map size, dense micro-op stream,
-    // tile stream, output slots. The per-op kernel is not stored
+    // tile stream, output slots. The compiled kernel is not stored
     // separately — it is this same stream (`micro_instrs`).
     w.u32(tiled.num_slots() as u32);
     let instrs = kernel.instrs();
@@ -774,7 +774,6 @@ mod tests {
         let inputs = [0x0123_4567_89ab_cdefu64, 0xfedc_ba98_7654_3210];
         let expected = interpret(artifact.program(), &inputs);
         assert_eq!(back.tiled().run(&inputs), expected);
-        assert_eq!(back.kernel().run(&inputs), expected);
     }
 
     #[test]

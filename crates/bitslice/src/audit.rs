@@ -6,7 +6,7 @@
 //! instruction sequence and the same memory addresses for every input, and
 //! every output is a pure function of the declared random-input words.
 
-use crate::kernel::{CompiledKernel, Instr, Opcode};
+use crate::kernel::Opcode;
 use crate::tile::TiledKernel;
 use crate::{Op, Program};
 
@@ -99,91 +99,44 @@ pub fn audit(program: &Program) -> AuditReport {
     }
 }
 
-/// Audits a [`CompiledKernel`] — the fused-opcode counterpart of [`audit`],
-/// so the constant-time argument survives the lowering optimization.
+/// Audits a [`TiledKernel`] — the fused, tiled counterpart of [`audit`],
+/// so the constant-time argument survives the lowering and tiling
+/// optimizations.
 ///
-/// The kernel is straight-line by construction (a fixed instruction list
-/// over a fixed slot array, no data-dependent addressing), and every fused
-/// opcode (`AndNot`, `Xnor`, …) is a pure word function of its operands;
-/// the forward dataflow pass therefore tracks per-slot input supports
-/// exactly as [`audit`] tracks per-register supports. Lowering never adds
-/// an input dependence, so each output support here is a subset of the
-/// source program's (constant folding can shrink it; fusion preserves it).
+/// The kernel is straight-line by construction (a fixed tile and
+/// instruction stream over a fixed slot array, no data-dependent
+/// addressing), and every fused opcode (`AndNot`, `Xnor`, …) is a pure
+/// word function of its operands. A tile executes its micro-ops in stream
+/// order with no data-dependent control, so the input support of a tile's
+/// writes is exactly the union of its micro-ops' supports — i.e. auditing
+/// the decoded micro-op stream ([`TiledKernel::micro_instrs`]) audits the
+/// tiled execution. Lowering never adds an input dependence, so each
+/// output support here is a subset of the source program's (constant
+/// folding can shrink it; fusion preserves it).
 ///
-/// `dead_ops` is 0 by construction: lowering eliminates unreachable code.
+/// The forward dataflow tracks the input support of each *slot*. Slot
+/// reuse is sound here for the same reason it is sound at execution time:
+/// dataflow is strictly forward. `dead_ops` is 0 by construction —
+/// lowering eliminates unreachable code before allocation.
 ///
 /// # Examples
 ///
 /// ```
-/// use ctgauss_bitslice::{audit, audit_kernel, CompiledKernel, Op, Program};
+/// use ctgauss_bitslice::{audit, audit_tiled, CompiledKernel, Op, Program, TiledKernel};
 ///
 /// let p = Program::new(
 ///     2,
 ///     vec![Op::Input(0), Op::Input(1), Op::Not(1), Op::And(0, 2)],
 ///     vec![3],
 /// );
-/// let report = audit_kernel(&CompiledKernel::lower(&p));
+/// let report = audit_tiled(&TiledKernel::lower(&CompiledKernel::lower(&p)));
 /// assert!(report.is_constant_time());
 /// assert_eq!(report.output_supports, audit(&p).output_supports);
 /// ```
-pub fn audit_kernel(kernel: &CompiledKernel) -> AuditReport {
-    audit_instrs(
-        kernel.instrs(),
-        kernel.num_slots(),
-        kernel.output_slots(),
-        kernel.gate_count(),
-    )
-}
-
-/// Audits a [`TiledKernel`] — the superinstruction counterpart of
-/// [`audit_kernel`], so the constant-time argument survives the tiling
-/// optimization too.
-///
-/// A tile executes its micro-ops in stream order with no data-dependent
-/// control, so the input support of a tile's writes is exactly the union
-/// of its micro-ops' supports — i.e. auditing the decoded micro-op stream
-/// ([`TiledKernel::micro_instrs`]) audits the tiled execution. Because
-/// tiling is a pure re-encoding of the compiled kernel's instruction
-/// list, this report always equals [`audit_kernel`]'s for the source
-/// kernel.
-///
-/// # Examples
-///
-/// ```
-/// use ctgauss_bitslice::{audit_kernel, audit_tiled, CompiledKernel, Op, Program, TiledKernel};
-///
-/// let p = Program::new(
-///     2,
-///     vec![Op::Input(0), Op::Input(1), Op::Not(1), Op::And(0, 2)],
-///     vec![3],
-/// );
-/// let kernel = CompiledKernel::lower(&p);
-/// let tiled = TiledKernel::lower(&kernel);
-/// assert_eq!(audit_tiled(&tiled), audit_kernel(&kernel));
-/// assert!(audit_tiled(&tiled).is_constant_time());
-/// ```
 pub fn audit_tiled(kernel: &TiledKernel) -> AuditReport {
-    audit_instrs(
-        &kernel.micro_instrs(),
-        kernel.num_slots(),
-        kernel.output_slots(),
-        kernel.gate_count(),
-    )
-}
-
-/// The shared forward dataflow over a lowered instruction stream,
-/// tracking the input support of each *slot*. Slot reuse is sound here
-/// for the same reason it is sound at execution time: dataflow is
-/// strictly forward. `dead_ops` is 0 by construction — lowering
-/// eliminates unreachable code before allocation.
-fn audit_instrs(
-    instrs: &[Instr],
-    num_slots: usize,
-    output_slots: &[u16],
-    gates: usize,
-) -> AuditReport {
-    let mut slot_supports: Vec<Vec<u32>> = vec![Vec::new(); num_slots];
-    for instr in instrs {
+    let instrs = kernel.micro_instrs();
+    let mut slot_supports: Vec<Vec<u32>> = vec![Vec::new(); kernel.num_slots()];
+    for instr in &instrs {
         let s = match instr.op {
             Opcode::Input => vec![u32::from(instr.a)],
             Opcode::Zero | Opcode::One => Vec::new(),
@@ -210,18 +163,24 @@ fn audit_instrs(
     }
     AuditReport {
         straight_line: true,
-        output_supports: output_slots
+        output_supports: kernel
+            .output_slots()
             .iter()
             .map(|&s| slot_supports[s as usize].clone())
             .collect(),
         dead_ops: 0,
-        gates,
+        gates: kernel.gate_count(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompiledKernel;
+
+    fn audit_lowered(p: &Program) -> AuditReport {
+        audit_tiled(&TiledKernel::lower(&CompiledKernel::lower(p)))
+    }
 
     #[test]
     fn supports_track_inputs() {
@@ -286,8 +245,7 @@ mod tests {
             ],
             vec![4, 6, 7],
         );
-        let k = CompiledKernel::lower(&p);
-        let rk = audit_kernel(&k);
+        let rk = audit_lowered(&p);
         assert!(rk.is_constant_time());
         assert_eq!(rk.output_supports, audit(&p).output_supports);
         assert_eq!(rk.dead_ops, 0);
@@ -302,7 +260,7 @@ mod tests {
             vec![Op::Input(0), Op::Const(false), Op::And(0, 1)],
             vec![2],
         );
-        let rk = audit_kernel(&CompiledKernel::lower(&p));
+        let rk = audit_lowered(&p);
         assert_eq!(rk.output_supports, vec![Vec::<u32>::new()]);
         assert_eq!(audit(&p).output_supports, vec![vec![0]]);
     }
@@ -318,7 +276,7 @@ mod tests {
         }
         let last = (ops.len() - 1) as u32;
         let p = Program::new(2, ops, vec![last]);
-        let rk = audit_kernel(&CompiledKernel::lower(&p));
+        let rk = audit_lowered(&p);
         assert_eq!(rk.output_supports, vec![vec![0, 1]]);
     }
 }

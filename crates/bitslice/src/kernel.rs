@@ -19,20 +19,20 @@
 //!    SSA register file is mapped onto a small reusable slot array whose
 //!    size is the program's live width, not its length — it stays resident
 //!    in L1 while a batch executes.
-//! 4. A **threaded-code evaluator** generic over the lane word
-//!    ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …) so one lowering
-//!    serves scalar and wide execution alike.
 //!
+//! The result is an intermediate representation, not an engine: the
+//! [`TiledKernel`](crate::TiledKernel) re-encodes its instruction stream
+//! into superinstruction tiles and executes it over any [`LaneWord`].
 //! Every transformation is semantics-preserving on the declared outputs;
-//! [`crate::audit_kernel`] re-derives the constant-time audit over the
-//! fused opcodes, and the equivalence property tests in
-//! `tests/kernel_props.rs` check the compiled kernel against the
-//! interpreter on random programs.
+//! [`crate::audit_tiled`] re-derives the constant-time audit over the
+//! fused opcodes, and the property tests in `tests/backend_matrix.rs`
+//! check the tiled execution of every lowering against the interpreter on
+//! random programs.
 //!
 //! # Examples
 //!
 //! ```
-//! use ctgauss_bitslice::{interpret, CompiledKernel, Op, Program};
+//! use ctgauss_bitslice::{interpret, CompiledKernel, Op, Program, TiledKernel};
 //!
 //! // out = in0 AND NOT in1 — the Not fuses into a single AndNot.
 //! let p = Program::new(
@@ -41,16 +41,17 @@
 //!     vec![3],
 //! );
 //! let kernel = CompiledKernel::lower(&p);
-//! assert_eq!(kernel.run(&[0b11u64, 0b01]), vec![0b10]);
-//! assert_eq!(kernel.run(&[0b11u64, 0b01]), interpret(&p, &[0b11, 0b01]));
 //! assert_eq!(kernel.stats().fused, 1);
+//! let tiled = TiledKernel::lower(&kernel);
+//! assert_eq!(tiled.run(&[0b11u64, 0b01]), vec![0b10]);
+//! assert_eq!(tiled.run(&[0b11u64, 0b01]), interpret(&p, &[0b11, 0b01]));
 //! ```
 
 use core::fmt;
 
 use crate::{Op, Program};
 
-/// One SIMD lane word of the kernel evaluator: a single `u64` for the
+/// One SIMD lane word of the tiled kernel: a single `u64` for the
 /// paper's 64-lane batches, a `[u64; W]` block for `64 * W` lanes (the
 /// fixed-size array ops auto-vectorize on machines with wide vector units),
 /// or a hardware vector register wrapper from the `simd` module
@@ -301,10 +302,11 @@ pub struct LoweringStats {
 
 /// A [`Program`] lowered to a compact, fused, register-allocated kernel.
 ///
-/// Lowering happens once ([`CompiledKernel::lower`]); execution
-/// ([`CompiledKernel::execute`]) then runs the instruction list over a slot
-/// array of [`num_slots`](Self::num_slots) lane words with zero heap
-/// allocation. The kernel computes exactly the same outputs as
+/// Lowering happens once ([`CompiledKernel::lower`]);
+/// [`TiledKernel::lower`](crate::TiledKernel::lower) then re-encodes the
+/// instruction list for execution over a slot array of
+/// [`num_slots`](Self::num_slots) lane words with zero heap allocation.
+/// The instructions compute exactly the same outputs as
 /// [`interpret`](crate::interpret) on the source program — the interpreter
 /// remains the reference oracle for equivalence tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -581,8 +583,8 @@ impl CompiledKernel {
         self.output_slots.len()
     }
 
-    /// Size of the reusable slot array (lane words of scratch needed by
-    /// [`execute`](Self::execute)).
+    /// Size of the reusable slot array (lane words of scratch the
+    /// instruction list needs).
     pub fn num_slots(&self) -> usize {
         self.num_slots as usize
     }
@@ -602,144 +604,6 @@ impl CompiledKernel {
     /// instruction and slot counts).
     pub fn stats(&self) -> &LoweringStats {
         &self.stats
-    }
-
-    /// Logic-gate instructions in the kernel (fused opcodes count once —
-    /// the cost model mirroring [`Program::gate_count`]).
-    pub fn gate_count(&self) -> usize {
-        self.instrs.iter().filter(|i| i.op.is_gate()).count()
-    }
-
-    /// Executes the kernel over caller-provided scratch, writing one lane
-    /// word per declared output into `outputs`.
-    ///
-    /// `slots` is reusable scratch of at least [`num_slots`](Self::num_slots)
-    /// words; its prior contents are ignored and overwritten. Nothing is
-    /// allocated. The instruction sequence and memory-access pattern are
-    /// fixed at lowering time — independent of the input values — so the
-    /// constant-time contract of the source program carries over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the declared input count,
-    /// `slots` is shorter than `num_slots()`, or `outputs.len()` differs
-    /// from the declared output count.
-    #[inline]
-    pub fn execute<L: LaneWord>(&self, inputs: &[L], slots: &mut [L], outputs: &mut [L]) {
-        assert_eq!(
-            inputs.len() as u32,
-            self.num_inputs,
-            "input word count mismatch"
-        );
-        assert!(
-            slots.len() >= self.num_slots as usize,
-            "scratch has {} slots, kernel needs {}",
-            slots.len(),
-            self.num_slots
-        );
-        assert_eq!(
-            outputs.len(),
-            self.output_slots.len(),
-            "output word count mismatch"
-        );
-        for instr in &self.instrs {
-            let (a, b) = (instr.a as usize, instr.b as usize);
-            let v = match instr.op {
-                Opcode::Input => inputs[a],
-                Opcode::Zero => L::ZERO,
-                Opcode::One => L::ONES,
-                Opcode::Not => slots[a].not(),
-                Opcode::And => slots[a].and(slots[b]),
-                Opcode::Or => slots[a].or(slots[b]),
-                Opcode::Xor => slots[a].xor(slots[b]),
-                Opcode::AndNot => slots[a].and(slots[b].not()),
-                Opcode::OrNot => slots[a].or(slots[b].not()),
-                Opcode::Nand => slots[a].and(slots[b]).not(),
-                Opcode::Nor => slots[a].or(slots[b]).not(),
-                Opcode::Xnor => slots[a].xor(slots[b]).not(),
-            };
-            slots[instr.dst as usize] = v;
-        }
-        for (out, &s) in outputs.iter_mut().zip(&self.output_slots) {
-            *out = slots[s as usize];
-        }
-    }
-
-    /// The bounds-check-free inner loop behind
-    /// [`execute_fast`](Self::execute_fast): the slot array is a fixed
-    /// power-of-two-sized stack array and every index is masked with
-    /// `N - 1`, so the indices are provably in range and the compiler
-    /// drops all slice bounds checks from the dispatch loop. Masking never
-    /// changes an index because lowering guarantees every slot id is below
-    /// [`num_slots`](Self::num_slots)` <= N`.
-    #[inline(always)]
-    fn execute_masked<L: LaneWord, const N: usize>(
-        &self,
-        inputs: &[L],
-        slots: &mut [L; N],
-        outputs: &mut [L],
-    ) {
-        debug_assert!(N.is_power_of_two() && self.num_slots as usize <= N);
-        for instr in &self.instrs {
-            let (a, b) = (instr.a as usize & (N - 1), instr.b as usize & (N - 1));
-            let v = match instr.op {
-                Opcode::Input => inputs[instr.a as usize],
-                Opcode::Zero => L::ZERO,
-                Opcode::One => L::ONES,
-                Opcode::Not => slots[a].not(),
-                Opcode::And => slots[a].and(slots[b]),
-                Opcode::Or => slots[a].or(slots[b]),
-                Opcode::Xor => slots[a].xor(slots[b]),
-                Opcode::AndNot => slots[a].and(slots[b].not()),
-                Opcode::OrNot => slots[a].or(slots[b].not()),
-                Opcode::Nand => slots[a].and(slots[b]).not(),
-                Opcode::Nor => slots[a].or(slots[b]).not(),
-                Opcode::Xnor => slots[a].xor(slots[b]).not(),
-            };
-            slots[instr.dst as usize & (N - 1)] = v;
-        }
-        for (out, &s) in outputs.iter_mut().zip(&self.output_slots) {
-            *out = slots[s as usize & (N - 1)];
-        }
-    }
-
-    /// Executes the kernel with internally managed scratch: kernels up to
-    /// 2048 slots run over a fixed-size stack array through the masked,
-    /// bounds-check-free loop (every sampler this workspace builds fits);
-    /// larger kernels fall back to a heap-allocated slot buffer and
-    /// [`execute`](Self::execute).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` or `outputs.len()` mismatch the kernel's
-    /// declared counts.
-    #[inline(always)]
-    pub fn execute_fast<L: LaneWord>(&self, inputs: &[L], outputs: &mut [L]) {
-        assert_eq!(
-            inputs.len() as u32,
-            self.num_inputs,
-            "input word count mismatch"
-        );
-        assert_eq!(
-            outputs.len(),
-            self.output_slots.len(),
-            "output word count mismatch"
-        );
-        crate::exec::with_stack_slots!(
-            self.num_slots as usize,
-            L,
-            |slots| self.execute_masked(inputs, slots, outputs),
-            |slots| self.execute(inputs, slots, outputs),
-        );
-    }
-
-    /// Convenience wrapper over [`execute_fast`](Self::execute_fast) that
-    /// returns the outputs in a fresh `Vec` — for tests and one-off runs,
-    /// not the hot path.
-    pub fn run<L: LaneWord>(&self, inputs: &[L]) -> Vec<L> {
-        let mut outputs = vec![L::ZERO; self.output_slots.len()];
-        self.execute_fast(inputs, &mut outputs);
-        outputs
     }
 }
 
@@ -1072,9 +936,12 @@ mod tests {
     use super::*;
     use crate::interpret;
 
+    /// Executes the lowering through the tiled engine (a pure re-encoding
+    /// of the instruction list) against the interpreter.
     fn check_equiv(p: &Program, inputs: &[u64]) {
         let kernel = CompiledKernel::lower(p);
-        assert_eq!(kernel.run(inputs), interpret(p, inputs), "{kernel}");
+        let tiled = crate::TiledKernel::lower(&kernel);
+        assert_eq!(tiled.run(inputs), interpret(p, inputs), "{kernel}");
     }
 
     #[test]
@@ -1235,50 +1102,6 @@ mod tests {
     fn repeated_output_registers_work() {
         let p = Program::new(1, vec![Op::Input(0), Op::Not(0)], vec![1, 1, 0]);
         check_equiv(&p, &[42]);
-    }
-
-    #[test]
-    fn wide_execution_matches_scalar_lanes() {
-        let p = Program::new(
-            3,
-            vec![
-                Op::Input(0),
-                Op::Input(1),
-                Op::Input(2),
-                Op::Not(2),
-                Op::And(0, 3),
-                Op::Or(4, 1),
-                Op::Xor(5, 2),
-            ],
-            vec![6, 4],
-        );
-        let k = CompiledKernel::lower(&p);
-        let inputs_wide: Vec<[u64; 4]> = vec![[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]];
-        let wide = k.run(&inputs_wide);
-        for w in 0..4 {
-            let scalar_inputs: Vec<u64> = inputs_wide.iter().map(|v| v[w]).collect();
-            let scalar = k.run(&scalar_inputs);
-            for (o, out) in scalar.iter().enumerate() {
-                assert_eq!(wide[o][w], *out, "output {o}, word {w}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "input word count mismatch")]
-    fn execute_rejects_wrong_input_count() {
-        let p = Program::new(2, vec![Op::Input(0), Op::Input(1)], vec![0]);
-        let k = CompiledKernel::lower(&p);
-        let _ = k.run(&[1u64]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch has")]
-    fn execute_rejects_short_scratch() {
-        let p = Program::new(1, vec![Op::Input(0), Op::Not(0)], vec![1]);
-        let k = CompiledKernel::lower(&p);
-        let mut outputs = [0u64];
-        k.execute(&[1u64], &mut [], &mut outputs);
     }
 
     #[test]

@@ -14,25 +14,26 @@
 //!   `b_0 & b_1 & ... & b_k` of Equation 2 are computed once.
 //! * [`interpret`] — executes a program over `u64` lanes (the reference
 //!   oracle: simple and obviously correct).
-//! * [`CompiledKernel`] — the optimizing lowering pipeline: dead-code
-//!   elimination, `AndNot`/`Xnor` op fusion, constant folding, post-fusion
-//!   GVN/CSE, windowed list scheduling, and liveness + linear-scan slot
-//!   allocation, followed by allocation-free execution generic over the
-//!   lane width ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …).
-//! * [`TiledKernel`] — the production execution engine: the compiled
-//!   kernel's instruction stream re-lowered into superinstruction tiles
-//!   (straight-line unrolled handlers for the dominant 2–4-op patterns,
-//!   dense-packed operand stream), so the dispatch loop fires once per
-//!   tile instead of once per op.
+//! * [`CompiledKernel`] — the optimizing lowering pipeline (an IR, not an
+//!   engine): dead-code elimination, `AndNot`/`Xnor` op fusion, constant
+//!   folding, post-fusion GVN/CSE, windowed list scheduling, and liveness +
+//!   linear-scan slot allocation.
+//! * [`TiledKernel`] — the production execution engine, and the only one
+//!   besides the interpreter: the compiled kernel's instruction stream
+//!   re-lowered into superinstruction tiles (straight-line unrolled
+//!   handlers for the dominant 2–4-op patterns, dense-packed operand
+//!   stream), so the dispatch loop fires once per tile instead of once per
+//!   op. Execution is allocation-free and generic over the lane width
+//!   ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …).
 //! * [`Backend`] — runtime-dispatched SIMD lane backends (SSE2 / AVX2 /
 //!   AVX-512 / NEON intrinsics plus the always-available portable words),
 //!   selected by CPU feature detection and overridable through the
 //!   `CTGAUSS_FORCE_BACKEND` environment variable.
 //! * [`transpose64`] / pack helpers — the classic bit-matrix transpose used
 //!   to move between sample-per-word and bit-position-per-word layouts.
-//! * [`audit`] / [`audit_kernel`] — static checkers that verify SSA
+//! * [`audit`] / [`audit_tiled`] — static checkers that verify SSA
 //!   well-formedness and that every output is influenced only by declared
-//!   random inputs, for source programs and fused kernels respectively.
+//!   random inputs, for source programs and tiled kernels respectively.
 //!
 //! # Examples
 //!
@@ -55,7 +56,6 @@
 pub mod artifact;
 mod audit;
 mod compile;
-mod exec;
 mod kernel;
 mod program;
 #[allow(unsafe_code)]
@@ -63,10 +63,10 @@ mod simd;
 mod tile;
 mod transpose;
 
-pub use audit::{audit, audit_kernel, audit_tiled, AuditReport};
+pub use audit::{audit, audit_tiled, AuditReport};
 pub use compile::compile;
 pub use kernel::{CompiledKernel, Instr, LaneWord, LoweringStats, Opcode};
-pub use program::{interpret, interpret_lanes, interpret_wide, Op, Program};
+pub use program::{interpret, Op, Program};
 pub use simd::{Backend, FORCE_BACKEND_ENV};
 pub use tile::{Tile, TileStats, TiledKernel};
 pub use transpose::{

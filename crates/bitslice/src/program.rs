@@ -191,110 +191,6 @@ pub fn interpret(program: &Program, inputs: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-/// Executes a program on `64 * W` parallel lanes: each virtual register is
-/// `W` machine words wide, so one instruction dispatch performs `W` word
-/// operations (the compiler auto-vectorizes the fixed-size array ops).
-///
-/// This is the paper's "wide word length" observation taken one step
-/// further: on machines with 256-bit vector units, `W = 4` quadruples the
-/// batch and amortizes interpreter dispatch. `inputs[i][w]` holds bit
-/// position `i` of lanes `64w .. 64w+63`.
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` differs from the program's declared input count.
-pub fn interpret_wide<const W: usize>(program: &Program, inputs: &[[u64; W]]) -> Vec<[u64; W]> {
-    assert_eq!(
-        inputs.len() as u32,
-        program.num_inputs(),
-        "input word count mismatch"
-    );
-    let mut regs: Vec<[u64; W]> = vec![[0; W]; program.ops().len()];
-    for (r, op) in program.ops().iter().enumerate() {
-        let out = match *op {
-            Op::Input(i) => inputs[i as usize],
-            Op::Const(false) => [0; W],
-            Op::Const(true) => [u64::MAX; W],
-            Op::Not(a) => {
-                let x = regs[a as usize];
-                let mut o = [0; W];
-                for w in 0..W {
-                    o[w] = !x[w];
-                }
-                o
-            }
-            Op::And(a, b) => {
-                let (x, y) = (regs[a as usize], regs[b as usize]);
-                let mut o = [0; W];
-                for w in 0..W {
-                    o[w] = x[w] & y[w];
-                }
-                o
-            }
-            Op::Or(a, b) => {
-                let (x, y) = (regs[a as usize], regs[b as usize]);
-                let mut o = [0; W];
-                for w in 0..W {
-                    o[w] = x[w] | y[w];
-                }
-                o
-            }
-            Op::Xor(a, b) => {
-                let (x, y) = (regs[a as usize], regs[b as usize]);
-                let mut o = [0; W];
-                for w in 0..W {
-                    o[w] = x[w] ^ y[w];
-                }
-                o
-            }
-        };
-        regs[r] = out;
-    }
-    program
-        .outputs()
-        .iter()
-        .map(|&o| regs[o as usize])
-        .collect()
-}
-
-/// Executes a program over any [`LaneWord`](crate::LaneWord) type — the
-/// interpreter engine of the runtime [`crate::Backend`] dispatch,
-/// generalizing [`interpret`] (`L = u64`) and [`interpret_wide`]
-/// (`L = [u64; W]`) to the hardware vector wrappers in the `simd` module.
-///
-/// The scalar [`interpret`] stays as the independent reference oracle: the
-/// cross-width differential tests compare every `interpret_lanes`
-/// instantiation against it lane by lane.
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` differs from the program's declared input count.
-#[inline(always)]
-pub fn interpret_lanes<L: crate::LaneWord>(program: &Program, inputs: &[L]) -> Vec<L> {
-    assert_eq!(
-        inputs.len() as u32,
-        program.num_inputs(),
-        "input word count mismatch"
-    );
-    let mut regs: Vec<L> = vec![L::ZERO; program.ops().len()];
-    for (r, op) in program.ops().iter().enumerate() {
-        regs[r] = match *op {
-            Op::Input(i) => inputs[i as usize],
-            Op::Const(false) => L::ZERO,
-            Op::Const(true) => L::ONES,
-            Op::Not(a) => regs[a as usize].not(),
-            Op::And(a, b) => regs[a as usize].and(regs[b as usize]),
-            Op::Or(a, b) => regs[a as usize].or(regs[b as usize]),
-            Op::Xor(a, b) => regs[a as usize].xor(regs[b as usize]),
-        };
-    }
-    program
-        .outputs()
-        .iter()
-        .map(|&o| regs[o as usize])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,33 +253,6 @@ mod tests {
     fn interpret_rejects_wrong_input_count() {
         let p = Program::new(2, vec![Op::Input(0), Op::Input(1)], vec![0]);
         let _ = interpret(&p, &[1]);
-    }
-
-    #[test]
-    fn wide_interpreter_matches_scalar_lanes() {
-        let p = Program::new(
-            3,
-            vec![
-                Op::Input(0),
-                Op::Input(1),
-                Op::Input(2),
-                Op::Not(2),
-                Op::And(0, 1),
-                Op::Or(4, 3),
-                Op::Xor(5, 2),
-                Op::Const(true),
-            ],
-            vec![6, 7],
-        );
-        let inputs_wide: Vec<[u64; 4]> = vec![[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]];
-        let wide = interpret_wide(&p, &inputs_wide);
-        for w in 0..4 {
-            let scalar_inputs: Vec<u64> = inputs_wide.iter().map(|v| v[w]).collect();
-            let scalar = interpret(&p, &scalar_inputs);
-            for (o, out) in scalar.iter().enumerate() {
-                assert_eq!(wide[o][w], *out, "output {o}, word {w}");
-            }
-        }
     }
 
     #[test]

@@ -26,14 +26,13 @@
 //! # Oracle pinning
 //!
 //! Each lane word views its register as [`LaneWord::WIDTH`] plain `u64`s
-//! operated on elementwise, so for every engine and every backend the
-//! planar run is bit-identical to `WIDTH` scalar `u64` runs. The
-//! `backend_matrix` differential tests enforce exactly that, cell by cell,
-//! against the scalar interpreter oracle.
+//! operated on elementwise, so for every backend the planar tiled run is
+//! bit-identical to `WIDTH` scalar `u64` runs. The `backend_matrix`
+//! differential tests enforce exactly that, cell by cell, against the
+//! scalar interpreter oracle.
 
 use crate::kernel::LaneWord;
-use crate::program::interpret_lanes;
-use crate::{CompiledKernel, Program, TiledKernel};
+use crate::TiledKernel;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -473,88 +472,6 @@ impl Backend {
             .expect("a portable backend exists at every supported width")
     }
 
-    /// Runs a source [`Program`] through the interpreter engine over this
-    /// backend's lane word. Planar buffers; see [`run_tiled`](Self::run_tiled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend is unavailable on this machine or the buffer
-    /// lengths are not `count * width()` for the program's declared
-    /// input/output counts.
-    pub fn run_interpreter(self, program: &Program, inputs: &[u64], outputs: &mut [u64]) {
-        self.check_available();
-        match self {
-            Backend::Scalar => run_lanes::<u64>(inputs, outputs, |i, o| {
-                o.copy_from_slice(&interpret_lanes(program, i));
-            }),
-            Backend::Portable128 => run_lanes::<[u64; 2]>(inputs, outputs, |i, o| {
-                o.copy_from_slice(&interpret_lanes(program, i));
-            }),
-            Backend::Portable256 => run_lanes::<[u64; 4]>(inputs, outputs, |i, o| {
-                o.copy_from_slice(&interpret_lanes(program, i));
-            }),
-            Backend::Portable512 => run_lanes::<[u64; 8]>(inputs, outputs, |i, o| {
-                o.copy_from_slice(&interpret_lanes(program, i));
-            }),
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => run_lanes::<x86::X128>(inputs, outputs, |i, o| {
-                o.copy_from_slice(&interpret_lanes(program, i));
-            }),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: check_available verified AVX2 above.
-            Backend::Avx2 => unsafe { interpreter_avx2(program, inputs, outputs) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: check_available verified AVX-512F above.
-            Backend::Avx512 => unsafe { interpreter_avx512(program, inputs, outputs) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => run_lanes::<arm::N128>(inputs, outputs, |i, o| {
-                o.copy_from_slice(&interpret_lanes(program, i));
-            }),
-            #[allow(unreachable_patterns)]
-            _ => unreachable!("check_available rejects foreign-ISA backends"),
-        }
-    }
-
-    /// Runs a per-op [`CompiledKernel`] over this backend's lane word.
-    /// Planar buffers; see [`run_tiled`](Self::run_tiled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend is unavailable on this machine or the buffer
-    /// lengths are not `count * width()` for the kernel's declared
-    /// input/output counts.
-    pub fn run_compiled(self, kernel: &CompiledKernel, inputs: &[u64], outputs: &mut [u64]) {
-        self.check_available();
-        match self {
-            Backend::Scalar => run_lanes::<u64>(inputs, outputs, |i, o| kernel.execute_fast(i, o)),
-            Backend::Portable128 => {
-                run_lanes::<[u64; 2]>(inputs, outputs, |i, o| kernel.execute_fast(i, o))
-            }
-            Backend::Portable256 => {
-                run_lanes::<[u64; 4]>(inputs, outputs, |i, o| kernel.execute_fast(i, o))
-            }
-            Backend::Portable512 => {
-                run_lanes::<[u64; 8]>(inputs, outputs, |i, o| kernel.execute_fast(i, o))
-            }
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => {
-                run_lanes::<x86::X128>(inputs, outputs, |i, o| kernel.execute_fast(i, o))
-            }
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: check_available verified AVX2 above.
-            Backend::Avx2 => unsafe { compiled_avx2(kernel, inputs, outputs) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: check_available verified AVX-512F above.
-            Backend::Avx512 => unsafe { compiled_avx512(kernel, inputs, outputs) },
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => {
-                run_lanes::<arm::N128>(inputs, outputs, |i, o| kernel.execute_fast(i, o))
-            }
-            #[allow(unreachable_patterns)]
-            _ => unreachable!("check_available rejects foreign-ISA backends"),
-        }
-    }
-
     /// Runs the production [`TiledKernel`] over this backend's lane word.
     ///
     /// Buffers are planar and input-major: `inputs[i * width() + w]` is
@@ -626,8 +543,11 @@ const MAX_STACK_OUTPUTS: usize = 64;
 ///
 /// `inputs` is input-major planar (`L::WIDTH` consecutive words per bit
 /// plane); `outputs` likewise. Plane counts are derived from the buffer
-/// lengths, and the kernel executors assert them against their declared
-/// shapes.
+/// lengths, and the kernel asserts them against its declared shapes.
+/// `exec` stays a closure rather than a direct kernel call: in unoptimized
+/// builds the closure keeps each lane type's slot scratch in its own
+/// frame, where inlining every arm into one dispatch frame overflows a
+/// test thread's stack.
 #[inline(always)]
 fn run_lanes<L: LaneWord>(inputs: &[u64], outputs: &mut [u64], exec: impl FnOnce(&[L], &mut [L])) {
     let w = L::WIDTH;
@@ -669,39 +589,11 @@ fn run_lanes<L: LaneWord>(inputs: &[u64], outputs: &mut [u64], exec: impl FnOnce
 }
 
 // The AVX execution shims: `#[target_feature]` makes the whole inlined
-// executor chain (gather → masked tile/op loop → scatter) compile with the
+// executor chain (gather → masked tile loop → scatter) compile with the
 // wide instruction set enabled, so the per-gate intrinsics fold into
 // straight vector code instead of function calls. Calling a shim is unsafe
 // exactly because of that codegen contract; every call site sits behind
 // `Backend::check_available`.
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn interpreter_avx2(program: &Program, inputs: &[u64], outputs: &mut [u64]) {
-    run_lanes::<x86::X256>(inputs, outputs, |i, o| {
-        o.copy_from_slice(&interpret_lanes(program, i));
-    });
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn interpreter_avx512(program: &Program, inputs: &[u64], outputs: &mut [u64]) {
-    run_lanes::<x86::X512>(inputs, outputs, |i, o| {
-        o.copy_from_slice(&interpret_lanes(program, i));
-    });
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn compiled_avx2(kernel: &CompiledKernel, inputs: &[u64], outputs: &mut [u64]) {
-    run_lanes::<x86::X256>(inputs, outputs, |i, o| kernel.execute_fast(i, o));
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn compiled_avx512(kernel: &CompiledKernel, inputs: &[u64], outputs: &mut [u64]) {
-    run_lanes::<x86::X512>(inputs, outputs, |i, o| kernel.execute_fast(i, o));
-}
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -718,7 +610,7 @@ fn tiled_avx512(kernel: &TiledKernel, inputs: &[u64], outputs: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile, interpret};
+    use crate::{compile, interpret, CompiledKernel, Program};
     use ctgauss_boolmin::Expr;
 
     fn test_program() -> Program {
@@ -744,8 +636,7 @@ mod tests {
     #[test]
     fn every_available_backend_matches_the_scalar_oracle() {
         let program = test_program();
-        let kernel = CompiledKernel::lower(&program);
-        let tiled = TiledKernel::lower(&kernel);
+        let tiled = TiledKernel::lower(&CompiledKernel::lower(&program));
         let ni = program.num_inputs() as usize;
         let no = program.outputs().len();
         for backend in Backend::available() {
@@ -761,12 +652,6 @@ mod tests {
                 }
             }
             let mut got = vec![0u64; no * w];
-            backend.run_interpreter(&program, &inputs, &mut got);
-            assert_eq!(got, expected, "{backend} interpreter");
-            got.fill(0);
-            backend.run_compiled(&kernel, &inputs, &mut got);
-            assert_eq!(got, expected, "{backend} compiled");
-            got.fill(0);
             backend.run_tiled(&tiled, &inputs, &mut got);
             assert_eq!(got, expected, "{backend} tiled");
         }

@@ -1,13 +1,12 @@
-//! Superinstruction (tile) lowering: killing the dispatch tax of the
-//! per-op kernel loop.
+//! Superinstruction (tile) lowering: the production execution engine.
 //!
-//! [`CompiledKernel::execute`](crate::CompiledKernel::execute) pays one
+//! A per-op loop — the [`interpret`](crate::interpret) oracle — pays one
 //! `match` dispatch per instruction. On the sampler's selector-chain
-//! kernels — thousands of `And`/`Or` gates — both the interpreter and the
-//! per-op kernel are *dispatch-bound*: the branch-and-decode overhead per
-//! op rivals the one-cycle gate it guards, which is exactly the remaining
-//! distance to the paper's hand-compiled C. This module tiles the
-//! kernel's linear instruction stream into **superinstructions**: fixed
+//! kernels — thousands of `And`/`Or` gates — such a loop is
+//! *dispatch-bound*: the branch-and-decode overhead per op rivals the
+//! one-cycle gate it guards, which is exactly the remaining distance to
+//! the paper's hand-compiled C. This module tiles the compiled kernel's
+//! linear instruction stream into **superinstructions**: fixed
 //! 2–4-op patterns (chosen from the statistically dominant n-grams of the
 //! sampler workloads, which are overwhelmingly `And`/`Or` combinations)
 //! whose handlers are straight-line unrolled code with the opcodes baked
@@ -23,11 +22,11 @@
 //! and input id in the stream fits 9 bits (below 512 — halving
 //! instruction-stream traffic versus the 8-byte [`Instr`]), with a
 //! `[u16; 4]` fallback for larger kernels. Tiling never reorders or rewrites ops:
-//! [`TiledKernel::micro_instrs`] decodes back to exactly the per-op
+//! [`TiledKernel::micro_instrs`] decodes back to exactly the compiled
 //! kernel's instruction list, which is why the constant-time audit
 //! transfers (a tile's support is the union of its ops' supports — see
-//! [`audit_tiled`](crate::audit_tiled)) and why the per-op kernel and the
-//! interpreter both survive as bit-exact oracles.
+//! [`audit_tiled`](crate::audit_tiled)) and why the interpreter on the
+//! source program stays the one bit-exact oracle.
 //!
 //! # Examples
 //!
@@ -70,7 +69,7 @@ enum Code {
     /// kernels whose slot and input ids fit 9 bits.
     Dense(Vec<u32>),
     /// `[op, dst, a, b]` as four `u16`s per micro-op — any kernel the
-    /// per-op engine accepts.
+    /// lowering produces.
     Wide(Vec<[u16; 4]>),
 }
 
@@ -104,7 +103,7 @@ impl OpStream for WideStream<'_> {
 /// Counters describing what tiling did, for reports and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TileStats {
-    /// Micro-ops in the stream (equals the per-op kernel's instruction
+    /// Micro-ops in the stream (equals the compiled kernel's instruction
     /// count — tiling neither adds nor removes work).
     pub micro_ops: usize,
     /// Tiles, i.e. dispatches per execution — the number the
@@ -133,6 +132,40 @@ fn zero_like<L: LaneWord>(_: &[L]) -> L {
 #[inline(always)]
 fn ones_like<L: LaneWord>(_: &[L]) -> L {
     L::ONES
+}
+
+/// Runs `$masked` with `$slots` bound to a zeroed `&mut [$lane; N]` stack
+/// array of the smallest power-of-two tier (128 / 512 / 2048) holding
+/// `$num_slots` lane words, or `$heap` with `$slots` bound to a zeroed
+/// `&mut [$lane]` heap buffer when even the largest tier is too small.
+///
+/// The masked body is monomorphized once per tier, so the executor's
+/// `N - 1` index masking stays a compile-time constant in every arm.
+macro_rules! with_stack_slots {
+    ($num_slots:expr, $lane:ty, |$slots:ident| $masked:expr, |$heap_slots:ident| $heap:expr $(,)?) => {{
+        match $num_slots {
+            0..=128 => {
+                let mut arr = [<$lane as LaneWord>::ZERO; 128];
+                let $slots = &mut arr;
+                $masked
+            }
+            129..=512 => {
+                let mut arr = [<$lane as LaneWord>::ZERO; 512];
+                let $slots = &mut arr;
+                $masked
+            }
+            513..=2048 => {
+                let mut arr = [<$lane as LaneWord>::ZERO; 2048];
+                let $slots = &mut arr;
+                $masked
+            }
+            n => {
+                let mut buf = vec![<$lane as LaneWord>::ZERO; n];
+                let $heap_slots = &mut buf[..];
+                $heap
+            }
+        }
+    }};
 }
 
 /// One micro-op's execution, with the opcode a compile-time token: this is
@@ -390,7 +423,7 @@ tiles! {
 ///
 /// Lowering ([`TiledKernel::lower`]) is pure re-encoding — no op is
 /// added, removed or reordered, so the tiled engine computes exactly what
-/// the per-op kernel (and the source interpreter) compute, and the
+/// the source interpreter computes, and the
 /// constant-time argument carries over unchanged: the instruction
 /// sequence and memory-access pattern are still fixed at lowering time,
 /// and [`audit_tiled`](crate::audit_tiled) re-derives per-output input
@@ -539,8 +572,8 @@ impl TiledKernel {
         &self.tiles
     }
 
-    /// Static dispatches per execution: one per tile. The per-op engines
-    /// dispatch once per instruction; this is the number the
+    /// Static dispatches per execution: one per tile. A per-op loop
+    /// dispatches once per instruction; this is the number the
     /// superinstruction lowering shrinks ~3–4× on sampler kernels.
     pub fn dispatch_count(&self) -> usize {
         self.tiles.len()
@@ -580,8 +613,8 @@ impl TiledKernel {
         }
     }
 
-    /// Logic-gate micro-ops in the kernel (the cost model mirroring
-    /// [`CompiledKernel::gate_count`](crate::CompiledKernel::gate_count)).
+    /// Logic-gate micro-ops in the kernel (fused opcodes count once — the
+    /// cost model mirroring [`Program::gate_count`](crate::Program::gate_count)).
     pub fn gate_count(&self) -> usize {
         self.micro_instrs()
             .iter()
@@ -591,10 +624,12 @@ impl TiledKernel {
 
     /// Executes the tiled kernel over caller-provided scratch, writing one
     /// lane word per declared output into `outputs` — the wide batch APIs'
-    /// entry point. Semantics and panics match
-    /// [`CompiledKernel::execute`](crate::CompiledKernel::execute): fixed
-    /// instruction sequence, fixed memory-access pattern, nothing
-    /// allocated.
+    /// entry point. `slots` is reusable scratch of at least
+    /// [`num_slots`](Self::num_slots) words; its prior contents are ignored
+    /// and overwritten. The instruction sequence and memory-access pattern
+    /// are fixed at lowering time — independent of the input values — so
+    /// the constant-time contract of the source program carries over.
+    /// Nothing is allocated.
     ///
     /// # Panics
     ///
@@ -629,13 +664,13 @@ impl TiledKernel {
     pub fn execute_fast<L: LaneWord>(&self, inputs: &[L], outputs: &mut [L]) {
         self.check_shapes(inputs.len(), outputs.len());
         match &self.code {
-            Code::Dense(c) => crate::exec::with_stack_slots!(
+            Code::Dense(c) => with_stack_slots!(
                 self.num_slots as usize,
                 L,
                 |slots| self.run_masked(DenseStream(c), inputs, slots, outputs),
                 |slots| self.run_plain(DenseStream(c), inputs, slots, outputs),
             ),
-            Code::Wide(c) => crate::exec::with_stack_slots!(
+            Code::Wide(c) => with_stack_slots!(
                 self.num_slots as usize,
                 L,
                 |slots| self.run_masked(WideStream(c), inputs, slots, outputs),
@@ -704,14 +739,16 @@ mod tests {
     use super::*;
     use crate::{interpret, Op, Program};
 
-    /// Lowers through both engines and checks them against the
+    /// Lowers and tiles `p`, checking the tiled engine against the
     /// interpreter oracle on the given inputs.
-    fn check_all_engines(p: &Program, inputs: &[u64]) -> TiledKernel {
+    fn check_tiled(p: &Program, inputs: &[u64]) -> TiledKernel {
         let kernel = CompiledKernel::lower(p);
         let tiled = TiledKernel::lower(&kernel);
-        let expected = interpret(p, inputs);
-        assert_eq!(kernel.run(inputs), expected, "per-op kernel vs interpreter");
-        assert_eq!(tiled.run(inputs), expected, "tiled kernel vs interpreter");
+        assert_eq!(
+            tiled.run(inputs),
+            interpret(p, inputs),
+            "tiled kernel vs interpreter"
+        );
         assert_eq!(
             tiled.micro_instrs(),
             kernel.instrs(),
@@ -739,7 +776,7 @@ mod tests {
         }
         let out = (ops.len() - 1) as u32;
         let p = Program::new(2, ops, vec![out]);
-        let tiled = check_all_engines(&p, &[0xf0f0_3c3c_aaaa_5555, 0x0ff0_c3c3_9999_6666]);
+        let tiled = check_tiled(&p, &[0xf0f0_3c3c_aaaa_5555, 0x0ff0_c3c3_9999_6666]);
         assert!(tiled.stats().quads >= 2, "{:?}", tiled.stats());
         assert!(
             tiled.dispatch_count() * 3 <= tiled.stats().micro_ops,
@@ -751,7 +788,7 @@ mod tests {
     #[test]
     fn empty_program_tiles_and_executes() {
         let p = Program::new(0, vec![], vec![]);
-        let tiled = check_all_engines(&p, &[]);
+        let tiled = check_tiled(&p, &[]);
         assert_eq!(tiled.dispatch_count(), 0);
         assert_eq!(tiled.run::<u64>(&[]), Vec::<u64>::new());
     }
@@ -759,7 +796,7 @@ mod tests {
     #[test]
     fn single_instruction_program() {
         let p = Program::new(1, vec![Op::Input(0)], vec![0]);
-        let tiled = check_all_engines(&p, &[0xdead_beef]);
+        let tiled = check_tiled(&p, &[0xdead_beef]);
         assert_eq!(tiled.dispatch_count(), 1);
         assert_eq!(tiled.stats().singles, 1);
     }
@@ -771,7 +808,7 @@ mod tests {
             vec![Op::Input(0), Op::Const(true), Op::Const(false)],
             vec![1, 2, 1],
         );
-        let tiled = check_all_engines(&p, &[42]);
+        let tiled = check_tiled(&p, &[42]);
         assert_eq!(tiled.run(&[42u64]), vec![u64::MAX, 0, u64::MAX]);
     }
 
@@ -791,7 +828,7 @@ mod tests {
             }
             let out = (ops.len() - 1) as u32;
             let p = Program::new(2, ops, vec![out]);
-            let tiled = check_all_engines(&p, &[0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321]);
+            let tiled = check_tiled(&p, &[0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321]);
             let widths: usize = tiled.tiles().iter().map(|t| t.width()).sum();
             assert_eq!(widths, tiled.stats().micro_ops, "gates = {gates}");
         }
@@ -817,7 +854,7 @@ mod tests {
     #[test]
     fn wide_encoding_kicks_in_above_dense_limit() {
         let p = wide_live_program(600);
-        let tiled = check_all_engines(&p, &[0xaaaa_5555_0f0f_f0f0, 0x1111_2222_3333_4444]);
+        let tiled = check_tiled(&p, &[0xaaaa_5555_0f0f_f0f0, 0x1111_2222_3333_4444]);
         assert!(!tiled.stats().dense, "600 live slots exceed 9-bit ids");
         assert!(tiled.num_slots() > DENSE_LIMIT);
 
@@ -828,12 +865,12 @@ mod tests {
 
     #[test]
     fn heap_fallback_above_2048_slots() {
-        // > 2048 simultaneously-live values: both engines must leave the
+        // > 2048 simultaneously-live values: the engine must leave the
         // masked stack fast path and still match the interpreter.
         let p = wide_live_program(2100);
         let kernel = CompiledKernel::lower(&p);
         assert!(kernel.num_slots() > 2048);
-        let tiled = check_all_engines(&p, &[0x1357_9bdf_0246_8ace, 0xfedc_ba98_7654_3210]);
+        let tiled = check_tiled(&p, &[0x1357_9bdf_0246_8ace, 0xfedc_ba98_7654_3210]);
         assert!(tiled.num_slots() > 2048);
     }
 

@@ -1,23 +1,30 @@
-//! Cross-width differential matrix: every lane backend compiled for this
-//! host must be bit-identical to the scalar `u64` oracle through all three
-//! execution engines (interpreter, per-op [`CompiledKernel`], tiled
-//! [`TiledKernel`]) on random well-formed programs and random inputs.
+//! Property tests for the two engines: on random well-formed programs and
+//! random inputs, the tiled kernel ([`TiledKernel`]) on every lane backend
+//! compiled for this host is bit-identical to the scalar `u64` interpreter
+//! oracle; tiling is a pure re-encoding of the lowered
+//! ([`CompiledKernel`]) instruction stream; lowering is deterministic; and
+//! the tiled kernel's constant-time audit never gains an input dependence
+//! over the source program's.
 //!
 //! The matrix is backend-major: each proptest case iterates the full
-//! [`Backend::available()`] list, so the portable lane words are always
-//! pinned against the oracle even on hosts where detection would pick a
-//! native ISA, and the native cells (SSE2/AVX2/AVX-512/NEON) are exercised
-//! exactly where the CPU supports them. `CTGAUSS_FORCE_BACKEND` selection
-//! is covered by a serialized env round-trip test below; the CI
-//! `simd-smoke` job additionally forces the portable backend through a
-//! full kernel run in a separate process.
+//! [`Backend::available()`] list, so the portable lane words (W = 1, 2, 4,
+//! 8) are always pinned against the oracle even on hosts where detection
+//! would pick a native ISA, and the native cells (SSE2/AVX2/AVX-512/NEON)
+//! are exercised exactly where the CPU supports them.
+//! `CTGAUSS_FORCE_BACKEND` selection is covered by a serialized env
+//! round-trip test below; the CI `simd-smoke` job additionally forces the
+//! portable backend through a full kernel run in a separate process.
 
-use ctgauss_bitslice::{interpret, Backend, CompiledKernel, Op, Program, TiledKernel};
+use ctgauss_bitslice::{
+    audit, audit_tiled, interpret, Backend, CompiledKernel, Op, Program, TiledKernel,
+};
 use proptest::prelude::*;
 
-/// Deterministically expands a seed into a random well-formed program —
-/// same shape as the `kernel_props` generator so the two suites explore
-/// comparable program space.
+/// Deterministically expands a seed into a random well-formed program:
+/// `num_inputs` declared inputs, `len` ops whose operands are drawn from
+/// the already-defined registers, and 1..=4 random outputs. Gate/load kinds
+/// are weighted toward `Not` so the fusion rules (`AndNot`, `Xnor`,
+/// double-negation) are exercised often.
 fn build_program(seed: u64, num_inputs: u32, len: usize) -> Program {
     let mut state = seed | 1;
     let mut next = move || {
@@ -84,9 +91,10 @@ fn oracle(program: &Program, inputs: &[u64], width: usize) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// The full backend x engine matrix on one random (program, inputs)
-    /// cell: for every available backend, all three engines reproduce the
-    /// per-lane scalar oracle bit for bit.
+    /// The full backend matrix on one random (program, inputs) cell: for
+    /// every available backend the tiled kernel reproduces the per-lane
+    /// scalar oracle bit for bit, and the tile stream decodes back to
+    /// exactly the lowered instruction list.
     #[test]
     fn prop_every_backend_and_engine_matches_scalar_oracle(
         seed in any::<u64>(),
@@ -97,20 +105,19 @@ proptest! {
         let program = build_program(seed, num_inputs, len);
         let kernel = CompiledKernel::lower(&program);
         let tiled = TiledKernel::lower(&kernel);
+        prop_assert_eq!(tiled.micro_instrs(), kernel.instrs().to_vec());
+        prop_assert_eq!(
+            tiled.tiles().iter().map(|t| t.width()).sum::<usize>(),
+            kernel.instrs().len()
+        );
         let num_outputs = program.outputs().len();
         for backend in Backend::available() {
             let width = backend.width();
             let inputs = planar_inputs(num_inputs as usize, width, input_seed);
             let expected = oracle(&program, &inputs, width);
             let mut got = vec![0u64; num_outputs * width];
-            backend.run_interpreter(&program, &inputs, &mut got);
-            prop_assert_eq!(&got, &expected, "interpreter diverged on {}", backend);
-            got.fill(0);
-            backend.run_compiled(&kernel, &inputs, &mut got);
-            prop_assert_eq!(&got, &expected, "compiled kernel diverged on {}", backend);
-            got.fill(0);
             backend.run_tiled(&tiled, &inputs, &mut got);
-            prop_assert_eq!(&got, &expected, "tiled kernel diverged on {}", backend);
+            prop_assert_eq!(&got, &expected, "tiled kernel diverged on {}\n{}", backend, tiled);
         }
     }
 
@@ -126,8 +133,7 @@ proptest! {
         input_seed in any::<u64>(),
     ) {
         let program = build_program(seed, num_inputs, len);
-        let kernel = CompiledKernel::lower(&program);
-        let tiled = TiledKernel::lower(&kernel);
+        let tiled = TiledKernel::lower(&CompiledKernel::lower(&program));
         let num_outputs = program.outputs().len();
         let available = Backend::available();
         for width in [2usize, 4, 8] {
@@ -143,11 +149,47 @@ proptest! {
                 let mut got = vec![0u64; num_outputs * width];
                 peer.run_tiled(&tiled, &inputs, &mut got);
                 prop_assert_eq!(&got, &reference, "{} != {}", peer, peers[0]);
-                got.fill(0);
-                peer.run_compiled(&kernel, &inputs, &mut got);
-                prop_assert_eq!(&got, &reference, "compiled {} != tiled {}", peer, peers[0]);
             }
         }
+    }
+
+    /// The tiled kernel's audit stays constant-time and never *gains* an
+    /// input dependence: each output support is a subset of the source
+    /// program's (folding may shrink it).
+    #[test]
+    fn prop_kernel_audit_supports_shrink(
+        seed in any::<u64>(),
+        num_inputs in 1u32..6,
+        len in 1usize..60,
+    ) {
+        let program = build_program(seed, num_inputs, len);
+        let rp = audit(&program);
+        let rt = audit_tiled(&TiledKernel::lower(&CompiledKernel::lower(&program)));
+        prop_assert!(rt.is_constant_time());
+        prop_assert_eq!(rt.output_supports.len(), rp.output_supports.len());
+        for (t_sup, p_sup) in rt.output_supports.iter().zip(&rp.output_supports) {
+            for input in t_sup {
+                prop_assert!(
+                    p_sup.contains(input),
+                    "kernel support {t_sup:?} not within program support {p_sup:?}"
+                );
+            }
+        }
+    }
+
+    /// Lowering is deterministic: re-running on the same program yields
+    /// an identical kernel, and the tile re-lowering inherits that
+    /// determinism.
+    #[test]
+    fn prop_lowering_is_deterministic(
+        seed in any::<u64>(),
+        num_inputs in 1u32..6,
+        len in 1usize..60,
+    ) {
+        let program = build_program(seed, num_inputs, len);
+        let (a, b) = (CompiledKernel::lower(&program), CompiledKernel::lower(&program));
+        prop_assert_eq!(TiledKernel::lower(&a), TiledKernel::lower(&b));
+        prop_assert_eq!(a, b);
     }
 }
 

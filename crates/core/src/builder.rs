@@ -2,8 +2,9 @@
 //!
 //! Since the staged-pipeline refactor, [`SamplerBuilder::build`] runs the
 //! Figure-4 chain as six named passes (see [`SynthStage`]), each timed,
-//! content-fingerprinted, and re-checked against the previous stage's
-//! oracle on a fixed probe batch before the next pass may run.
+//! content-fingerprinted, and re-checked against an oracle on a fixed
+//! probe batch before the next pass may run (the `CompiledKernel` IR
+//! through the `TiledKernel` probe that executes it).
 //! [`SamplerBuilder::build_traced`] returns the resulting [`BuildTrace`]
 //! alongside the sampler; the [`KernelCache`](crate::KernelCache) uses
 //! the same trace machinery to record which stages a warm start skipped.
@@ -280,17 +281,18 @@ impl SamplerBuilder {
         let program_fp = program_fingerprint(sop_fp, &program);
         trace.push(SynthStage::Program, program_fp, t.elapsed(), true);
 
-        // Stage 5: CompiledKernel — the optimizing lowering.
+        // Stage 5: CompiledKernel — the optimizing lowering. It is an IR,
+        // not an engine: its probe is the tiled stage's, which executes
+        // exactly this instruction list.
         let t = Instant::now();
         let kernel = CompiledKernel::lower(&program);
-        probe_kernel(&kernel, &program)?;
         let kernel_fp = kernel_fingerprint(program_fp, &kernel);
         trace.push(SynthStage::CompiledKernel, kernel_fp, t.elapsed(), true);
 
         // Stage 6: TiledKernel — superinstruction re-lowering.
         let t = Instant::now();
         let tiled = TiledKernel::lower(&kernel);
-        probe_tiled(&tiled, &kernel)?;
+        probe_tiled(&tiled, &kernel, &program)?;
         let tiled_fp = tiled_fingerprint(kernel_fp, &tiled);
         trace.push(SynthStage::TiledKernel, tiled_fp, t.elapsed(), true);
 
@@ -383,25 +385,20 @@ pub(crate) fn probe_program(
     Ok(())
 }
 
-/// `CompiledKernel` invariant: bit-equivalence with the source program's
-/// interpreter on the fixed probe batch.
-pub(crate) fn probe_kernel(kernel: &CompiledKernel, program: &Program) -> Result<(), BuildError> {
-    let inputs = probe_inputs(program.num_inputs());
-    if kernel.run(&inputs) != interpret(program, &inputs) {
-        return Err(BuildError::StageInvariant(SynthStage::CompiledKernel));
-    }
-    Ok(())
-}
-
-/// `TiledKernel` invariant: the tile stream decodes back to exactly the
-/// per-op instruction list, and execution is bit-equivalent to the per-op
-/// kernel on the fixed probe batch.
-pub(crate) fn probe_tiled(tiled: &TiledKernel, kernel: &CompiledKernel) -> Result<(), BuildError> {
+/// `TiledKernel` invariant, which also gates the `CompiledKernel` stage:
+/// the tile stream decodes back to exactly the compiled instruction list,
+/// and execution is bit-equivalent to the source program's interpreter on
+/// the fixed probe batch.
+pub(crate) fn probe_tiled(
+    tiled: &TiledKernel,
+    kernel: &CompiledKernel,
+    program: &Program,
+) -> Result<(), BuildError> {
     if tiled.micro_instrs() != kernel.instrs() {
         return Err(BuildError::StageInvariant(SynthStage::TiledKernel));
     }
-    let inputs = probe_inputs(kernel.num_inputs());
-    if tiled.run(&inputs) != kernel.run(&inputs) {
+    let inputs = probe_inputs(program.num_inputs());
+    if tiled.run(&inputs) != interpret(program, &inputs) {
         return Err(BuildError::StageInvariant(SynthStage::TiledKernel));
     }
     Ok(())

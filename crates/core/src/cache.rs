@@ -47,9 +47,7 @@ use std::time::Instant;
 use ctgauss_bitslice::artifact::{self, ByteReader, ByteWriter, KernelArtifact};
 use ctgauss_knuthyao::{GaussianParams, ProbabilityMatrix};
 
-use crate::builder::{
-    probe_kernel, probe_program, probe_tiled, BuildReport, Strategy, SublistInfo,
-};
+use crate::builder::{probe_program, probe_tiled, BuildReport, Strategy, SublistInfo};
 use crate::sampler::CtSampler;
 use crate::stages::{BuildTrace, CacheDisposition, SynthStage};
 
@@ -359,8 +357,7 @@ fn validate_and_probe(
         return None;
     }
     probe_program(&program, &matrix).ok()?;
-    probe_kernel(&kernel, &program).ok()?;
-    probe_tiled(&tiled, &kernel).ok()?;
+    probe_tiled(&tiled, &kernel, &program).ok()?;
 
     let mut trace = BuildTrace::new(CacheDisposition::Hit);
     for (i, stage) in SynthStage::ALL.into_iter().enumerate() {

@@ -22,8 +22,9 @@
 //! random words (`n` bit positions plus the sign), in constant time by
 //! construction. At build time the straight-line program is additionally
 //! lowered to a fused, register-allocated
-//! [`CompiledKernel`](ctgauss_bitslice::CompiledKernel) — the execution
-//! engine behind every sampling API, with the interpreter retained as the
+//! [`CompiledKernel`](ctgauss_bitslice::CompiledKernel) and tiled into a
+//! [`TiledKernel`](ctgauss_bitslice::TiledKernel) — the execution engine
+//! behind every sampling API, with the interpreter retained as the
 //! reference oracle ([`CtSampler::run_batch_reference`]).
 //!
 //! The prior work's "simple minimization" (\[21\], the Table 2 baseline) is
@@ -33,7 +34,7 @@
 //! The chain runs as an explicit staged pipeline ([`SynthStage`]:
 //! `Spec → ProbTables → MinimizedSop → Program → CompiledKernel →
 //! TiledKernel`) — each pass timed, content-fingerprinted and re-checked
-//! against the previous stage's oracle on a fixed probe batch
+//! against an oracle on a fixed probe batch
 //! ([`SamplerBuilder::build_traced`] returns the [`BuildTrace`]). Because
 //! synthesis is deterministic and fingerprints are stable across
 //! processes, [`SamplerSpec::build_shared`] can cold-start from a

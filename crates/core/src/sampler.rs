@@ -1,8 +1,7 @@
 //! The compiled constant-time sampler.
 
 use ctgauss_bitslice::{
-    audit, audit_kernel, audit_tiled, interpret, AuditReport, Backend, CompiledKernel, Program,
-    TiledKernel,
+    audit, audit_tiled, interpret, AuditReport, Backend, CompiledKernel, Program, TiledKernel,
 };
 use ctgauss_knuthyao::ProbabilityMatrix;
 use ctgauss_prng::RandomSource;
@@ -36,10 +35,11 @@ pub(crate) const MAX_SAMPLE_BITS: usize = 31;
 /// scheduling, register allocation) and then re-lowered to a
 /// [`TiledKernel`] (superinstruction tiles: one dispatch per 2–4-op
 /// pattern instead of one per op); every sampling API executes the tiled
-/// kernel. Both earlier engines survive as bit-exact oracles: the
-/// interpreter behind [`run_batch_reference`](Self::run_batch_reference)
-/// and the per-op kernel behind
-/// [`run_batch_compiled`](Self::run_batch_compiled).
+/// kernel. The compiled kernel is kept as the lowering IR the tiles were
+/// cut from, not as an engine. Two engines remain: the tiled kernel, and
+/// the interpreter behind
+/// [`run_batch_reference`](Self::run_batch_reference) as its bit-exact
+/// oracle.
 ///
 /// # Randomness draw order
 ///
@@ -124,8 +124,8 @@ impl<const W: usize> BatchScratch<W> {
         let n = sampler.program.num_inputs() as usize;
         self.draw.resize((n + 1) * W, 0);
         self.inputs.resize(n, [0; W]);
-        self.slots.resize(sampler.kernel.num_slots(), [0; W]);
-        self.words.resize(sampler.kernel.num_outputs(), [0; W]);
+        self.slots.resize(sampler.tiled.num_slots(), [0; W]);
+        self.words.resize(sampler.tiled.num_outputs(), [0; W]);
     }
 }
 
@@ -225,15 +225,16 @@ impl CtSampler {
         &self.program
     }
 
-    /// The optimizing-lowered per-op kernel: fused opcodes,
+    /// The optimizing-lowered kernel IR: fused opcodes,
     /// register-allocated slots ([`CompiledKernel::stats`] reports what
-    /// lowering did). Kept as the second oracle; execution goes through
-    /// [`tiled_kernel`](Self::tiled_kernel).
+    /// lowering did). Not executed; execution goes through
+    /// [`tiled_kernel`](Self::tiled_kernel), which re-encodes exactly this
+    /// instruction list.
     pub fn kernel(&self) -> &CompiledKernel {
         &self.kernel
     }
 
-    /// The superinstruction-threaded production engine: the per-op
+    /// The superinstruction-threaded production engine: the compiled
     /// kernel's instruction stream grouped into tiles dispatched once
     /// each ([`TiledKernel::stats`] reports the dispatch reduction).
     pub fn tiled_kernel(&self) -> &TiledKernel {
@@ -268,17 +269,10 @@ impl CtSampler {
         audit(&self.program)
     }
 
-    /// Statically audits the lowered per-op kernel, covering the fused
-    /// opcodes, so the constant-time argument survives the optimization.
-    /// Supports are never larger than [`audit`](Self::audit)'s.
-    pub fn audit_compiled(&self) -> AuditReport {
-        audit_kernel(&self.kernel)
-    }
-
     /// Statically audits the *tiled kernel* — the code that actually
-    /// executes. Tiling is a pure re-encoding (a tile's support is the
-    /// union of its ops' supports), so this report always equals
-    /// [`audit_compiled`](Self::audit_compiled)'s.
+    /// executes — covering the fused opcodes, so the constant-time
+    /// argument survives the lowering and tiling optimizations. Supports
+    /// are never larger than [`audit`](Self::audit)'s.
     pub fn audit_tiled(&self) -> AuditReport {
         audit_tiled(&self.tiled)
     }
@@ -355,27 +349,9 @@ impl CtSampler {
         out
     }
 
-    /// [`run_batch`](Self::run_batch) through the *per-op* compiled
-    /// kernel — one dispatch per instruction, no tiling. Kept as the
-    /// mid-level oracle (and the `kernel_compare` baseline) between the
-    /// interpreter and the tiled engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the program's input count.
-    pub fn run_batch_compiled(&self, inputs: &[u64], signs: u64) -> [i32; 64] {
-        let nw = self.kernel.num_outputs();
-        let mut words = [0u64; MAX_SAMPLE_BITS];
-        self.kernel.execute_fast(inputs, &mut words[..nw]);
-        let mut out = [0i32; 64];
-        decode_lanes(&words[..nw], signs, &mut out);
-        out
-    }
-
     /// The interpreter-executed reference oracle for
     /// [`run_batch`](Self::run_batch): same inputs, same outputs, no
-    /// lowering — kept for equivalence tests and audits of the compiled
-    /// engines.
+    /// lowering — kept for equivalence tests of the tiled engine.
     ///
     /// # Panics
     ///
@@ -529,27 +505,8 @@ impl CtSampler {
     /// [`sample_batch_with`](Self::sample_batch_with).
     pub fn sample_batch_wide<const W: usize, R: RandomSource>(&self, rng: &mut R) -> Vec<i32> {
         let mut out = vec![0i32; 64 * W];
-        self.sample_batch_wide_into::<W, _>(rng, &mut out);
+        self.sample_batch_with(rng, &mut self.scratch::<W>(), &mut out);
         out
-    }
-
-    /// Generates `64 * W` signed samples in one kernel pass into a
-    /// caller-provided buffer — [`sample_batch_wide`](Self::sample_batch_wide)
-    /// without the output `Vec` allocation. Only the internal scratch is
-    /// allocated; callers running batches in a loop should hold a
-    /// [`BatchScratch`] and use [`sample_batch_with`](Self::sample_batch_with)
-    /// to eliminate that too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != 64 * W`.
-    pub fn sample_batch_wide_into<const W: usize, R: RandomSource>(
-        &self,
-        rng: &mut R,
-        out: &mut [i32],
-    ) {
-        let mut scratch = self.scratch::<W>();
-        self.sample_batch_with(rng, &mut scratch, out);
     }
 
     /// Fills `out` with signed samples — the bulk API.
@@ -650,7 +607,7 @@ mod tests {
     /// Feed every leaf's exact bit string through a batch lane and verify
     /// the program outputs the leaf's sample value — functional equivalence
     /// between the constant-time program and Algorithm 1. Checks both the
-    /// compiled kernel and the interpreter oracle.
+    /// tiled kernel and the interpreter oracle.
     fn check_program_matches_leaves(strategy: Strategy, sigma: &str, n: u32) {
         let sampler = SamplerBuilder::new(sigma, n)
             .strategy(strategy)
@@ -671,11 +628,6 @@ mod tests {
                 out,
                 sampler.run_batch_reference(&inputs, 0),
                 "{strategy}: tiled kernel vs interpreter"
-            );
-            assert_eq!(
-                out,
-                sampler.run_batch_compiled(&inputs, 0),
-                "{strategy}: tiled kernel vs per-op kernel"
             );
             for (lane, leaf) in chunk.iter().enumerate() {
                 assert_eq!(
@@ -700,8 +652,11 @@ mod tests {
         check_program_matches_leaves(Strategy::Simple, "1.5", 12);
     }
 
+    /// The tiled engine agrees with the interpreter oracle at W = 1 and,
+    /// through `run_batch_lanes`, on every available backend lane for
+    /// lane.
     #[test]
-    fn all_three_engines_agree_on_random_batches() {
+    fn engines_agree_on_random_batches() {
         for strategy in [Strategy::SplitExact, Strategy::Simple] {
             let sampler = SamplerBuilder::new("2", 14)
                 .strategy(strategy)
@@ -712,17 +667,32 @@ mod tests {
                 let mut inputs = vec![0u64; 14];
                 rng.fill_u64s(&mut inputs);
                 let signs = rng.next_u64();
-                let tiled = sampler.run_batch(&inputs, signs);
                 assert_eq!(
-                    tiled,
+                    sampler.run_batch(&inputs, signs),
                     sampler.run_batch_reference(&inputs, signs),
                     "{strategy}, round {round}: tiled vs interpreter"
                 );
-                assert_eq!(
-                    tiled,
-                    sampler.run_batch_compiled(&inputs, signs),
-                    "{strategy}, round {round}: tiled vs per-op kernel"
-                );
+            }
+            let nw = sampler.tiled_kernel().num_outputs();
+            for backend in Backend::available() {
+                let w = backend.width();
+                let mut words = vec![0u64; nw * w];
+                let mut out = vec![0i32; 64 * w];
+                for round in 0..8 {
+                    let mut inputs = vec![0u64; 14 * w];
+                    rng.fill_u64s(&mut inputs);
+                    let mut signs = vec![0u64; w];
+                    rng.fill_u64s(&mut signs);
+                    sampler.run_batch_lanes(backend, &inputs, &mut words, &signs, &mut out);
+                    for lane in 0..w {
+                        let lane_inputs: Vec<u64> = (0..14).map(|i| inputs[i * w + lane]).collect();
+                        assert_eq!(
+                            out[64 * lane..64 * (lane + 1)],
+                            sampler.run_batch_reference(&lane_inputs, signs[lane]),
+                            "{strategy}, {backend}, round {round}, lane {lane}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -732,7 +702,7 @@ mod tests {
         let sampler = SamplerBuilder::new("2", 24).build().unwrap();
         let tiled = sampler.tiled_kernel();
         let stats = tiled.stats();
-        // Tiling is a pure re-encoding of the per-op kernel...
+        // Tiling is a pure re-encoding of the compiled kernel...
         assert_eq!(tiled.micro_instrs(), sampler.kernel().instrs());
         assert_eq!(stats.micro_ops, sampler.kernel().instrs().len());
         // ...that fires the dispatch loop >= 3x less often on the
@@ -743,14 +713,6 @@ mod tests {
             stats.dispatches,
             stats.micro_ops
         );
-    }
-
-    #[test]
-    fn tiled_audit_equals_compiled_audit() {
-        let sampler = SamplerBuilder::new("2", 16).build().unwrap();
-        let tiled_audit = sampler.audit_tiled();
-        assert!(tiled_audit.is_constant_time());
-        assert_eq!(tiled_audit, sampler.audit_compiled());
     }
 
     #[test]
@@ -822,11 +784,13 @@ mod tests {
         assert!(!report.output_supports[1].is_empty());
     }
 
+    /// The audit of the compiled code that executes — the tiled kernel —
+    /// covers its fused opcodes without widening any support.
     #[test]
     fn compiled_audit_covers_fused_kernel() {
         let sampler = SamplerBuilder::new("2", 16).build().unwrap();
         let program_audit = sampler.audit();
-        let kernel_audit = sampler.audit_compiled();
+        let kernel_audit = sampler.audit_tiled();
         assert!(kernel_audit.is_constant_time());
         assert_eq!(kernel_audit.dead_ops, 0);
         assert!(!kernel_audit.output_supports[0].is_empty());
@@ -925,38 +889,28 @@ mod tests {
         assert!((var - 4.0).abs() < 0.1, "variance {var}");
     }
 
-    /// `sample_into` equals the prefix of repeated `sample_batch` calls,
-    /// for lengths exercising the wide phase, the scalar phase and the
-    /// truncated tail.
+    /// `sample_into` equals the prefix of repeated `sample_batch` calls on
+    /// every available backend, for lengths exercising the wide phases,
+    /// the scalar phase and the truncated tail.
     #[test]
     fn sample_into_matches_repeated_batches() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        for len in [
-            0usize, 1, 63, 64, 65, 127, 128, 129, 191, 192, 256, 300, 448, 1000,
-        ] {
-            let mut rng_bulk = ChaChaRng::from_u64_seed(555);
-            let mut bulk = vec![0i32; len];
-            sampler.sample_into(&mut bulk, &mut rng_bulk);
-            let mut rng_ref = ChaChaRng::from_u64_seed(555);
-            let mut reference = Vec::with_capacity(len.div_ceil(64) * 64);
-            while reference.len() < len {
-                reference.extend_from_slice(&sampler.sample_batch(&mut rng_ref));
+        let mut sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        for backend in Backend::available() {
+            sampler.set_backend(backend);
+            for len in [
+                0usize, 1, 63, 64, 65, 127, 128, 129, 191, 192, 256, 300, 448, 1000,
+            ] {
+                let mut rng_bulk = ChaChaRng::from_u64_seed(555);
+                let mut bulk = vec![0i32; len];
+                sampler.sample_into(&mut bulk, &mut rng_bulk);
+                let mut rng_ref = ChaChaRng::from_u64_seed(555);
+                let mut reference = Vec::with_capacity(len.div_ceil(64) * 64);
+                while reference.len() < len {
+                    reference.extend_from_slice(&sampler.sample_batch(&mut rng_ref));
+                }
+                assert_eq!(bulk, &reference[..len], "{backend}, len {len}");
             }
-            assert_eq!(bulk, &reference[..len], "len {len}");
         }
-    }
-
-    /// The buffer-filling wide API is stream-identical to the allocating
-    /// one (it is the same kernel pass, minus the `Vec`).
-    #[test]
-    fn wide_into_matches_wide() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        let mut rng_a = ChaChaRng::from_u64_seed(91);
-        let mut rng_b = ChaChaRng::from_u64_seed(91);
-        let mut out = [0i32; 128];
-        sampler.sample_batch_wide_into::<2, _>(&mut rng_a, &mut out);
-        assert_eq!(&out[..], &sampler.sample_batch_wide::<2, _>(&mut rng_b)[..]);
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     }
 
     /// Reused scratch produces the same stream as the allocating

@@ -19,10 +19,12 @@
 //! hashing never goes through `RandomState`), which is what lets the
 //! kernel cache address artifacts by the `Spec` fingerprint alone.
 //!
-//! Every pass after `ProbTables` also re-checks itself against the
-//! previous stage's oracle on a fixed probe batch before the pipeline
-//! continues (bit-equivalence; see
-//! [`BuildError::StageInvariant`](crate::BuildError)).
+//! Every pass after `ProbTables` also re-checks itself against an oracle
+//! on a fixed probe batch before the pipeline continues (bit-equivalence;
+//! see [`BuildError::StageInvariant`](crate::BuildError)). The one
+//! exception is `CompiledKernel`, a lowering IR that never executes: the
+//! `TiledKernel` probe covers it by checking that the tiles re-encode its
+//! exact instruction list and run bit-equal to the `Program` interpreter.
 
 use core::fmt;
 use std::time::Duration;
@@ -54,7 +56,7 @@ pub enum SynthStage {
     /// Equation-2 recombination and hash-consed compilation into the
     /// straight-line SSA program.
     Program,
-    /// Optimizing lowering to the per-op kernel (DCE, fusion, GVN,
+    /// Optimizing lowering to the compiled kernel IR (DCE, fusion, GVN,
     /// scheduling, slot allocation).
     CompiledKernel,
     /// Superinstruction tiling of the compiled stream.
