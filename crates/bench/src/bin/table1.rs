@@ -11,37 +11,57 @@
 //!
 //! Absolute numbers differ on other hardware; the reproduction target is
 //! the ordering (byte-scan > CDT > this work > linear CDT) and the rough
-//! ratios. Run with `--fast` for a quicker, noisier pass.
+//! ratios. Each rate is the best of several timing windows, taken in
+//! rounds that visit the four samplers in turn.
+//!
+//! Writes `BENCH_table1.json` with `n<N>_<sampler>_signs_per_sec` for
+//! every measured cell (regression-gated) plus the two paper ratios per
+//! level, `n<N>_this_work_over_linear_ratio` and
+//! `n<N>_this_work_over_byte_scan_ratio` (reported, not gated).
+//! `--smoke` (CI) measures N = 512 only; `--fast` is a quicker, noisier
+//! full pass.
 
+use ctgauss_bench::report::{smoke_requested, BenchReport};
 use ctgauss_bench::{ops_per_second, print_table};
 use ctgauss_falcon::base::{BinaryCdtBase, ByteScanCdtBase, KnuthYaoCtBase, LinearCdtBase};
 use ctgauss_falcon::sign::BaseSampler;
 use ctgauss_falcon::{FalconParams, SecretKey};
 use ctgauss_prng::ChaChaRng;
 
+/// Metric-name keys of the four samplers, in column order.
+const SAMPLER_KEYS: [&str; 4] = ["byte_scan", "binary_cdt", "linear_cdt", "this_work"];
+
 fn main() {
+    let smoke = smoke_requested();
     let fast = std::env::args().any(|a| a == "--fast");
-    let budget_ms = if fast { 300 } else { 2000 };
+    // (rounds, window_ms): each round times one window per sampler.
+    let (rounds, window_ms) = if smoke {
+        (8, 150)
+    } else if fast {
+        (3, 100)
+    } else {
+        (10, 200)
+    };
 
     let paper: &[(&str, u32, [f64; 4])] = &[
         ("Level 1 (N=256)", 8, [10327.0, 8041.0, 6080.0, 7025.0]),
         ("Level 2 (N=512)", 9, [5220.0, 4064.0, 3027.0, 3527.0]),
         ("Level 3 (N=1024)", 10, [2640.0, 2014.0, 1519.0, 1754.0]),
     ];
+    let levels = if smoke { &paper[1..2] } else { paper };
 
     println!("Table 1: Falcon-sign throughput (signs/sec), ChaCha PRNG");
     println!("(paper values in parentheses; shapes, not absolutes, are the target)\n");
 
+    let mut report = BenchReport::new("table1", smoke);
     let mut rows = Vec::new();
-    for &(label, logn, paper_vals) in paper {
+    for &(label, logn, paper_vals) in levels {
         eprintln!("[table1] generating key for {label} ...");
         let mut rng = ChaChaRng::from_u64_seed(0xDAC2019 + u64::from(logn));
-        let sk = SecretKey::generate(FalconParams::new(logn), &mut rng)
-            .expect("key generation succeeds");
+        let params = FalconParams::new(logn);
+        let sk = SecretKey::generate(params, &mut rng).expect("key generation succeeds");
         eprintln!("[table1] measuring {label} ...");
 
-        let mut cells = vec![label.to_owned()];
-        let mut measured = Vec::new();
         // Build samplers fresh per level so PRNG state is comparable.
         let mut samplers: Vec<Box<dyn BaseSampler>> = vec![
             Box::new(ByteScanCdtBase::new(1)),
@@ -49,25 +69,51 @@ fn main() {
             Box::new(LinearCdtBase::new(3)),
             Box::new(KnuthYaoCtBase::new(4)),
         ];
-        for (i, base) in samplers.iter_mut().enumerate() {
-            let mut aux = ChaChaRng::from_u64_seed(99 + i as u64);
-            let mut counter = 0u64;
-            let rate = ops_per_second(budget_ms, || {
-                counter += 1;
-                let msg = counter.to_le_bytes();
-                let sig = sk
-                    .sign(&msg, base.as_mut(), &mut aux)
-                    .expect("signing succeeds");
-                std::hint::black_box(sig);
-            });
-            measured.push(rate);
+        let mut aux: Vec<ChaChaRng> = (0..4).map(|i| ChaChaRng::from_u64_seed(99 + i)).collect();
+        let mut counter = 0u64;
+        // Rounds of one window per sampler, interleaved so that a slow
+        // spell of a shared host hits every sampler alike; each rate is
+        // the sampler's best window (interference only ever slows one).
+        let mut measured = [0f64; 4];
+        for _ in 0..rounds {
+            for (i, base) in samplers.iter_mut().enumerate() {
+                let rate = ops_per_second(window_ms, || {
+                    counter += 1;
+                    let msg = counter.to_le_bytes();
+                    let sig = sk
+                        .sign(&msg, base.as_mut(), &mut aux[i])
+                        .expect("signing succeeds");
+                    std::hint::black_box(sig);
+                });
+                measured[i] = measured[i].max(rate);
+            }
+        }
+        let mut cells = vec![label.to_owned()];
+        for (i, rate) in measured.iter().enumerate() {
+            report.metric(
+                format!("n{}_{}_signs_per_sec", params.n(), SAMPLER_KEYS[i]),
+                *rate,
+            );
             cells.push(format!("{rate:.0} ({:.0})", paper_vals[i]));
         }
         // Ratio sanity line: this work vs byte-scan (paper: ~32% slower at
         // worst) and vs linear CDT (paper: >= 15% faster).
-        let vs_fastest = (measured[0] - measured[3]) / measured[0] * 100.0;
-        let vs_linear = (measured[3] - measured[2]) / measured[2] * 100.0;
-        cells.push(format!("{vs_fastest:.0}% / {vs_linear:+.0}%"));
+        let over_byte_scan = measured[3] / measured[0];
+        let over_linear = measured[3] / measured[2];
+        report
+            .metric(
+                format!("n{}_this_work_over_byte_scan_ratio", params.n()),
+                over_byte_scan,
+            )
+            .metric(
+                format!("n{}_this_work_over_linear_ratio", params.n()),
+                over_linear,
+            );
+        cells.push(format!(
+            "{:.0}% / {:+.0}%",
+            (1.0 - over_byte_scan) * 100.0,
+            (over_linear - 1.0) * 100.0
+        ));
         rows.push(cells);
     }
     print_table(
@@ -83,4 +129,5 @@ fn main() {
     );
     println!("\npaper claims: this work at most ~32-33% slower than the fastest");
     println!("non-constant-time sampler, and >= 15% faster than linear-search CDT.");
+    report.write().expect("write BENCH_table1.json");
 }

@@ -12,8 +12,18 @@
 //! [`split`] and [`merge`] are Falcon's `splitfft`/`mergefft`: the FFT
 //! images of the even/odd coefficient split `a(x) = a_0(x^2) + x a_1(x^2)`,
 //! used by ffLDL and ffSampling to walk the tower of rings.
+//!
+//! The roots come from a table filled once per process ([`roots`]), and
+//! every transform has one body that works on caller buffers:
+//! [`split_in_place`], [`merge_in_place`], [`fft_into`] and [`ifft_into`]
+//! allocate nothing. The `Vec`-returning [`split`], [`merge`], [`fft`] and
+//! [`ifft`] are thin wrappers over them. Each butterfly keeps the operands
+//! and the order of its floating-point operations, so results are
+//! bit-identical to evaluating the textbook recursion with on-the-fly
+//! `cos`/`sin` roots.
 
 use core::ops::{Add, Mul, Neg, Sub};
+use std::sync::OnceLock;
 
 /// A complex number over `f64` (no external dependencies).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -108,10 +118,66 @@ impl Neg for C64 {
     }
 }
 
-/// `zeta_k = exp(i pi (2k+1) / n)` — the k-th stored root for ring size n.
-fn zeta(k: usize, n: usize) -> C64 {
-    let angle = std::f64::consts::PI * (2 * k + 1) as f64 / n as f64;
-    C64::new(angle.cos(), angle.sin())
+/// Largest supported ring size, as `log2 n` (the range `FalconParams`
+/// accepts ends at N = 1024).
+const MAX_LOGN: usize = 10;
+
+/// The stored roots of every ring size `2^logn`, `logn = 0 ..= MAX_LOGN`,
+/// computed once on first use (about 8 KB in total).
+static ROOTS: OnceLock<Vec<Box<[C64]>>> = OnceLock::new();
+
+/// The roots `zeta_k = exp(i pi (2k+1) / n)`, `k = 0 .. n/4`, that the
+/// butterflies of ring size `n` use (empty for `n = 2`).
+///
+/// Every entry is `(cos a, sin a)` of `a = pi (2k+1) / n`, evaluated with
+/// exactly that expression, so the table-driven transforms produce the
+/// same bits as evaluating the roots on the fly.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two in `2 ..= 1024`.
+pub fn roots(n: usize) -> &'static [C64] {
+    assert!(
+        n >= 2 && n.is_power_of_two(),
+        "ring size must be a power of two >= 2"
+    );
+    let logn = n.trailing_zeros() as usize;
+    assert!(
+        logn <= MAX_LOGN,
+        "ring size {n} exceeds the largest supported ring size {}",
+        1usize << MAX_LOGN
+    );
+    &ROOTS.get_or_init(|| {
+        (0..=MAX_LOGN)
+            .map(|logn| {
+                let n = 1usize << logn;
+                (0..n / 4)
+                    .map(|k| {
+                        let angle = std::f64::consts::PI * (2 * k + 1) as f64 / n as f64;
+                        C64::new(angle.cos(), angle.sin())
+                    })
+                    .collect()
+            })
+            .collect()
+    })[logn]
+}
+
+/// One `mergefft` butterfly: the stored points `k` and `n/2 - 1 - k` of
+/// the merged image from point `k` of the two halves (for `k < n/4` the
+/// square of root `k` is the half ring's stored point `k`, and the mirror
+/// point `n/2 - 1 - k` squares to its conjugate).
+#[inline(always)]
+fn merge_pair(f0: C64, f1: C64, z: C64) -> (C64, C64) {
+    let t = z * f1;
+    (f0 + t, (f0 - t).conj())
+}
+
+/// One `splitfft` butterfly: point `k` of the two halves from the stored
+/// points `k` and `n/2 - 1 - k` of the full image.
+#[inline(always)]
+fn split_pair(a: C64, b: C64, z: C64) -> (C64, C64) {
+    let b_conj = b.conj();
+    ((a + b_conj).scale(0.5), ((a - b_conj).scale(0.5)).div(z))
 }
 
 /// Forward FFT of a real polynomial (length `n >= 2`, power of two) into
@@ -133,29 +199,38 @@ fn zeta(k: usize, n: usize) -> C64 {
 /// }
 /// ```
 pub fn fft(coeffs: &[f64]) -> Vec<C64> {
+    let mut out = vec![C64::default(); coeffs.len() / 2];
+    fft_into(coeffs, &mut out);
+    out
+}
+
+/// [`fft`] into a caller buffer of length `n/2`; allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two `>= 2` or `out` is not `n/2` long.
+pub fn fft_into(coeffs: &[f64], out: &mut [C64]) {
     let n = coeffs.len();
     assert!(
         n >= 2 && n.is_power_of_two(),
         "ring size must be a power of two >= 2"
     );
-    if n == 2 {
-        return vec![C64::new(coeffs[0], coeffs[1])];
+    assert_eq!(out.len(), n / 2, "output must hold n/2 points");
+    fft_strided(coeffs, 1, out);
+}
+
+/// FFT of the polynomial whose coefficient `i` is `coeffs[i * stride]`:
+/// the even and odd halves are transformed into the two halves of `out`,
+/// which [`merge_in_place`] then combines.
+fn fft_strided(coeffs: &[f64], stride: usize, out: &mut [C64]) {
+    if out.len() == 1 {
+        out[0] = C64::new(coeffs[0], coeffs[stride]);
+        return;
     }
-    let half: usize = n / 2;
-    let even: Vec<f64> = (0..half).map(|i| coeffs[2 * i]).collect();
-    let odd: Vec<f64> = (0..half).map(|i| coeffs[2 * i + 1]).collect();
-    let fe = fft(&even);
-    let fo = fft(&odd);
-    // Stored points k = 0..n/2; for k < n/4 the square lands on stored
-    // half-ring point k, for k >= n/4 on the conjugate of n/2-1-k.
-    let mut out = vec![C64::default(); half];
-    let quarter = n / 4;
-    for k in 0..quarter {
-        let z = zeta(k, n);
-        out[k] = fe[k] + z * fo[k];
-        out[half - 1 - k] = (fe[k] - z * fo[k]).conj();
-    }
-    out
+    let (fe, fo) = out.split_at_mut(out.len() / 2);
+    fft_strided(coeffs, 2 * stride, fe);
+    fft_strided(&coeffs[stride..], 2 * stride, fo);
+    merge_in_place(out);
 }
 
 /// Inverse FFT back to real coefficients (length `2 * values.len()`).
@@ -164,24 +239,43 @@ pub fn fft(coeffs: &[f64]) -> Vec<C64> {
 ///
 /// Panics if the input is empty or not a power of two in length.
 pub fn ifft(values: &[C64]) -> Vec<f64> {
+    let mut work = values.to_vec();
+    let mut out = vec![0.0; 2 * values.len()];
+    ifft_into(&mut work, &mut out);
+    out
+}
+
+/// [`ifft`] into a caller buffer of length `2 * values.len()`; allocates
+/// nothing. `values` is the working space of the transform and holds
+/// unspecified data afterwards.
+///
+/// # Panics
+///
+/// Panics if `values` is empty or not a power of two in length, or `out`
+/// is not twice as long.
+pub fn ifft_into(values: &mut [C64], out: &mut [f64]) {
     let half = values.len();
-    let n = 2 * half;
     assert!(
         half >= 1 && half.is_power_of_two(),
         "invalid FFT vector length"
     );
-    if n == 2 {
-        return vec![values[0].re, values[0].im];
+    assert_eq!(out.len(), 2 * half, "output must hold n coefficients");
+    ifft_strided(values, out, 1);
+}
+
+/// Inverse FFT writing coefficient `i` to `out[i * stride]`: `values` is
+/// split in place and each half is inverted onto the even or odd
+/// coefficients.
+fn ifft_strided(values: &mut [C64], out: &mut [f64], stride: usize) {
+    if values.len() == 1 {
+        out[0] = values[0].re;
+        out[stride] = values[0].im;
+        return;
     }
-    let (fe, fo) = split(values);
-    let even = ifft(&fe);
-    let odd = ifft(&fo);
-    let mut out = vec![0.0; n];
-    for i in 0..half {
-        out[2 * i] = even[i];
-        out[2 * i + 1] = odd[i];
-    }
-    out
+    split_in_place(values);
+    let (fe, fo) = values.split_at_mut(values.len() / 2);
+    ifft_strided(fe, out, 2 * stride);
+    ifft_strided(fo, &mut out[stride..], 2 * stride);
 }
 
 /// Falcon's `splitfft`: the FFT images of the even/odd coefficient halves.
@@ -193,20 +287,39 @@ pub fn ifft(values: &[C64]) -> Vec<f64> {
 /// Panics on rings smaller than 4 (at ring size 2 the split is just
 /// re/im, handled inline by the callers).
 pub fn split(values: &[C64]) -> (Vec<C64>, Vec<C64>) {
-    let half = values.len();
-    let n = 2 * half;
-    assert!(half >= 2, "split needs ring size >= 4");
-    let quarter = n / 4;
-    let mut f0 = vec![C64::default(); quarter];
-    let mut f1 = vec![C64::default(); quarter];
-    for k in 0..quarter {
-        let a = values[k];
-        let b_conj = values[half - 1 - k].conj();
-        let z = zeta(k, n);
-        f0[k] = (a + b_conj).scale(0.5);
-        f1[k] = ((a - b_conj).scale(0.5)).div(z);
-    }
+    let mut f0 = values.to_vec();
+    split_in_place(&mut f0);
+    let f1 = f0.split_off(values.len() / 2);
     (f0, f1)
+}
+
+/// [`split`] in place: the image of ring size `n` (length `n/2`) becomes
+/// `[f0 | f1]`, each half of length `n/4`.
+///
+/// Point `k` of the halves reads stored points `k` and `n/2 - 1 - k`, so
+/// the points are processed in pairs `k`, `n/4 - 1 - k` whose four reads
+/// are exactly the slots they write.
+///
+/// # Panics
+///
+/// Panics unless `buf.len()` is a power of two `>= 2`.
+pub fn split_in_place(buf: &mut [C64]) {
+    let half = buf.len();
+    assert!(
+        half >= 2 && half.is_power_of_two(),
+        "split needs ring size >= 4"
+    );
+    let quarter = half / 2;
+    let z = roots(2 * half);
+    for k in 0..quarter.div_ceil(2) {
+        let j = quarter - 1 - k;
+        let (f0_k, f1_k) = split_pair(buf[k], buf[half - 1 - k], z[k]);
+        let (f0_j, f1_j) = split_pair(buf[j], buf[half - 1 - j], z[j]);
+        buf[k] = f0_k;
+        buf[quarter + k] = f1_k;
+        buf[j] = f0_j;
+        buf[quarter + j] = f1_j;
+    }
 }
 
 /// Falcon's `mergefft`: inverse of [`split`].
@@ -216,18 +329,34 @@ pub fn split(values: &[C64]) -> (Vec<C64>, Vec<C64>) {
 /// Panics if the halves have different lengths or are empty.
 pub fn merge(f0: &[C64], f1: &[C64]) -> Vec<C64> {
     assert_eq!(f0.len(), f1.len(), "halves must match");
-    assert!(!f0.is_empty(), "merge needs at least ring size 4");
-    let quarter = f0.len();
-    let n = 4 * quarter;
-    let half = n / 2;
-    let mut out = vec![C64::default(); half];
-    for k in 0..quarter {
-        let z = zeta(k, n);
-        let t = z * f1[k];
-        out[k] = f0[k] + t;
-        out[half - 1 - k] = (f0[k] - t).conj();
-    }
+    let mut out = [f0, f1].concat();
+    merge_in_place(&mut out);
     out
+}
+
+/// [`merge`] in place: `[f0 | f1]` (each of length `n/4`) becomes the
+/// image of ring size `n`, paired like [`split_in_place`].
+///
+/// # Panics
+///
+/// Panics unless `buf.len()` is a power of two `>= 2`.
+pub fn merge_in_place(buf: &mut [C64]) {
+    let half = buf.len();
+    assert!(
+        half >= 2 && half.is_power_of_two(),
+        "merge needs at least ring size 4"
+    );
+    let quarter = half / 2;
+    let z = roots(2 * half);
+    for k in 0..quarter.div_ceil(2) {
+        let j = quarter - 1 - k;
+        let (lo_k, hi_k) = merge_pair(buf[k], buf[quarter + k], z[k]);
+        let (lo_j, hi_j) = merge_pair(buf[j], buf[quarter + j], z[j]);
+        buf[k] = lo_k;
+        buf[half - 1 - k] = hi_k;
+        buf[j] = lo_j;
+        buf[half - 1 - j] = hi_j;
+    }
 }
 
 /// Pointwise product of two FFT vectors.
@@ -368,6 +497,12 @@ mod tests {
         let direct: f64 = a.iter().map(|x| x * x).sum();
         let via_fft = norm_sq_fft(&fft(&a));
         assert!((direct - via_fft).abs() < 1e-9, "{direct} vs {via_fft}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the largest supported ring size 1024")]
+    fn roots_beyond_1024_panic() {
+        roots(2048);
     }
 
     #[test]

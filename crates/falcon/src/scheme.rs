@@ -4,7 +4,7 @@ use core::fmt;
 
 use ctgauss_prng::RandomSource;
 
-use crate::fft::{fft, ifft, mul_fft, sub_fft, C64};
+use crate::fft::{fft, fft_into, ifft_into, C64};
 use crate::ntru::{generate_basis, NtruBasis, NtruError};
 use crate::ntt::{center, to_mod_q, Ntt, Q};
 use crate::sign::{ff_sampling, hash_to_point, BaseSampler, MAX_LEAF_SIGMA};
@@ -272,34 +272,44 @@ impl SecretKey {
         rng: &mut R,
     ) -> Result<Signature, FalconError> {
         let n = self.params.n;
+        let hn = n / 2;
         let q = f64::from(Q);
+        // One arena per call for every FFT-domain buffer of an attempt:
+        // c, the target t = [t0 | t1], the sample z = [z0 | z1], the
+        // ffSampling scratch and the images of s0 / s1; plus the real
+        // coefficients of s0 and s1 (s0's slice first holds c's).
+        let mut points = vec![C64::default(); hn + 4 * n];
+        let (c_fft, rest) = points.split_at_mut(hn);
+        let (t, rest) = rest.split_at_mut(n);
+        let (z, rest) = rest.split_at_mut(n);
+        let (tmp, s_fft) = rest.split_at_mut(n);
+        let mut reals = vec![0.0; 2 * n];
+        let (s0, s1) = reals.split_at_mut(n);
         for _attempt in 0..64 {
             let mut nonce = [0u8; 40];
             rng.fill_bytes(&mut nonce);
             let c = hash_to_point(&nonce, message, n);
-            let c_reals: Vec<f64> = c.iter().map(|&x| f64::from(x)).collect();
-            let c_fft = fft(&c_reals);
+            for (r, &x) in s0.iter_mut().zip(&c) {
+                *r = f64::from(x);
+            }
+            fft_into(s0, c_fft);
             // t = (c, 0) B^-1 = (-c F / q, c f / q).
-            let t0: Vec<C64> = mul_fft(&c_fft, &self.cap_f_fft)
-                .into_iter()
-                .map(|v| v.scale(-1.0 / q))
-                .collect();
-            let t1: Vec<C64> = mul_fft(&c_fft, &self.f_fft)
-                .into_iter()
-                .map(|v| v.scale(1.0 / q))
-                .collect();
-            let (z0, z1) = ff_sampling(&t0, &t1, &self.tree, base, rng);
+            let (t0, t1) = t.split_at_mut(hn);
+            for k in 0..hn {
+                t0[k] = (c_fft[k] * self.cap_f_fft[k]).scale(-1.0 / q);
+                t1[k] = (c_fft[k] * self.f_fft[k]).scale(1.0 / q);
+            }
+            ff_sampling(t, &self.tree, z, tmp, base, rng);
             // s = (t - z) B.
-            let d0 = sub_fft(&t0, &z0);
-            let d1 = sub_fft(&t1, &z1);
-            let s0_fft: Vec<C64> = (0..n / 2)
-                .map(|k| d0[k] * self.g_fft[k] + d1[k] * self.cap_g_fft[k])
-                .collect();
-            let s1_fft: Vec<C64> = (0..n / 2)
-                .map(|k| -(d0[k] * self.f_fft[k] + d1[k] * self.cap_f_fft[k]))
-                .collect();
-            let s0 = ifft(&s0_fft);
-            let s1 = ifft(&s1_fft);
+            let (s0_fft, s1_fft) = s_fft.split_at_mut(hn);
+            for k in 0..hn {
+                let d0 = t[k] - z[k];
+                let d1 = t[hn + k] - z[hn + k];
+                s0_fft[k] = d0 * self.g_fft[k] + d1 * self.cap_g_fft[k];
+                s1_fft[k] = -(d0 * self.f_fft[k] + d1 * self.cap_f_fft[k]);
+            }
+            ifft_into(s0_fft, s0);
+            ifft_into(s1_fft, s1);
             let mut norm_sq = 0.0;
             let mut s1_int = Vec::with_capacity(n);
             let mut well_formed = true;

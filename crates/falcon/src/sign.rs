@@ -3,9 +3,9 @@
 
 use ctgauss_prng::{RandomSource, Shake, ShakeVariant};
 
-use crate::fft::{merge, split, C64};
+use crate::fft::{merge_in_place, split_in_place, C64};
 use crate::ntt::Q;
-use crate::tree::{backsubstitute, LdlTree};
+use crate::tree::LdlTree;
 
 /// The fixed base distribution all Table 1 samplers implement:
 /// `D_{Z, 2, 0}` at 128-bit precision with tail cut 13 — the paper's
@@ -77,15 +77,30 @@ pub fn sampler_z<B: BaseSampler + ?Sized, R: RandomSource>(
 /// ffSampling (Falcon Algorithm 11): samples an integer lattice point
 /// `z = (z0, z1)` close to the target `t = (t0, t1)` along the LDL tree.
 ///
-/// Inputs and outputs are in FFT form; the output is the FFT image of
-/// integer polynomials.
+/// The target is `t = [t0 | t1]` and the output `z = [z0 | z1]`, each half
+/// the FFT image (length `n/2`) of a ring-size-`n` polynomial; the output
+/// is the image of integer polynomials. `tmp` is working space of at least
+/// `n` points. Nothing is allocated: each level splits its target into the
+/// front of `tmp` and hands the rest down to its children.
+///
+/// Base samples are drawn through [`BaseSampler::next`] and acceptance
+/// words through [`RandomSource::next_u64`], one at a time, in tree order
+/// (`z1` before `z0`, real part before imaginary part at each leaf).
+///
+/// # Panics
+///
+/// Panics if `t` and `z` differ in length, `tmp` is shorter than `t`, or
+/// the tree does not match the ring size.
 pub fn ff_sampling<B: BaseSampler + ?Sized, R: RandomSource>(
-    t0: &[C64],
-    t1: &[C64],
+    t: &[C64],
     tree: &LdlTree,
+    z: &mut [C64],
+    tmp: &mut [C64],
     base: &mut B,
     aux: &mut R,
-) -> (Vec<C64>, Vec<C64>) {
+) {
+    assert_eq!(t.len(), z.len(), "target and output must match");
+    assert!(tmp.len() >= t.len(), "ffSampling scratch too short");
     match tree {
         LdlTree::Leaf {
             l10,
@@ -94,29 +109,37 @@ pub fn ff_sampling<B: BaseSampler + ?Sized, R: RandomSource>(
         } => {
             // Ring size 2: re/im are the two real coefficients.
             let z1 = C64::new(
-                sampler_z(t1[0].re, *sigma1, base, aux) as f64,
-                sampler_z(t1[0].im, *sigma1, base, aux) as f64,
+                sampler_z(t[1].re, *sigma1, base, aux) as f64,
+                sampler_z(t[1].im, *sigma1, base, aux) as f64,
             );
-            let t0_adj = t0[0] + (t1[0] - z1) * *l10;
+            let t0_adj = t[0] + (t[1] - z1) * *l10;
             let z0 = C64::new(
                 sampler_z(t0_adj.re, *sigma0, base, aux) as f64,
                 sampler_z(t0_adj.im, *sigma0, base, aux) as f64,
             );
-            (vec![z0], vec![z1])
+            z[0] = z0;
+            z[1] = z1;
         }
         LdlTree::Node {
             l10,
             child0,
             child1,
         } => {
-            let (t1_e, t1_o) = split(t1);
-            let (z1_e, z1_o) = ff_sampling(&t1_e, &t1_o, child1, base, aux);
-            let z1 = merge(&z1_e, &z1_o);
-            let t0_adj = backsubstitute(t0, t1, &z1, l10);
-            let (t0_e, t0_o) = split(&t0_adj);
-            let (z0_e, z0_o) = ff_sampling(&t0_e, &t0_o, child0, base, aux);
-            let z0 = merge(&z0_e, &z0_o);
-            (z0, z1)
+            let hn = t.len() / 2;
+            let (t0, t1) = t.split_at(hn);
+            let (z0, z1) = z.split_at_mut(hn);
+            let (target, rest) = tmp.split_at_mut(hn);
+            target.copy_from_slice(t1);
+            split_in_place(target);
+            ff_sampling(target, child1, z1, rest, base, aux);
+            merge_in_place(z1);
+            // Back-substitution: t0' = t0 + (t1 - z1) l10.
+            for k in 0..hn {
+                target[k] = t0[k] + (t1[k] - z1[k]) * l10[k];
+            }
+            split_in_place(target);
+            ff_sampling(target, child0, z0, rest, base, aux);
+            merge_in_place(z0);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The Falcon tree: ffLDL* decomposition of the basis Gram matrix.
 
-use crate::fft::{add_fft, mul_adj_fft, mul_fft, split, sub_fft, C64};
+use crate::fft::{add_fft, mul_adj_fft, split, sub_fft, C64};
 
 /// A node of the ffLDL tree for ring size `n >= 2`.
 ///
@@ -147,12 +147,6 @@ pub fn gram_determinant_error(g00: &[C64], g01: &[C64], g11: &[C64], q: f64) -> 
         worst = worst.max((det - q * q).abs() / (q * q));
     }
     worst
-}
-
-/// Multiplies `l10` into `(t1 - z1)` and adds to `t0` — the back-substitution
-/// step `t0' = t0 + (t1 - z1) l10` shared by signing.
-pub fn backsubstitute(t0: &[C64], t1: &[C64], z1: &[C64], l10: &[C64]) -> Vec<C64> {
-    add_fft(t0, &mul_fft(&sub_fft(t1, z1), l10))
 }
 
 #[cfg(test)]

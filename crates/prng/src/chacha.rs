@@ -354,6 +354,29 @@ impl RandomSource for ChaChaRng {
         }
     }
 
+    /// Fast path: the next 8 buffered bytes are read as one word; only a
+    /// word that straddles the end of the buffer takes the byte path.
+    /// Stream-equivalent to the default implementation.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        if self.pos == REFILL_BYTES {
+            self.refill();
+        }
+        if self.pos + 8 <= REFILL_BYTES {
+            let word = u64::from_le_bytes(
+                self.buf[self.pos..self.pos + 8]
+                    .try_into()
+                    .expect("8-byte chunk"),
+            );
+            self.pos += 8;
+            word
+        } else {
+            let mut b = [0u8; 8];
+            self.fill_bytes(&mut b);
+            u64::from_le_bytes(b)
+        }
+    }
+
     /// Block-filled override: whole keystream blocks are converted to
     /// `u64` words straight into the destination — 32 words per
     /// four-block batch while the request is long, 8 per single block for

@@ -1,4 +1,5 @@
-//! Property tests for the `fill_u64s` stream-equivalence contract.
+//! Property tests for the stream-equivalence contract of the overridden
+//! `next_u64` / `fill_u64s` draws.
 //!
 //! The samplers draw every batch record through one `fill_u64s` call, and
 //! the draw-order determinism contract (wide == W scalar batches, pool ==
@@ -46,8 +47,80 @@ where
     assert_eq!(fast.next_u64(), slow.next_u64());
 }
 
+/// A generator seen only through its `fill_bytes`: every other method is
+/// the trait's byte-stream default, the reference the overrides must match.
+struct ByteStream<R>(R);
+
+impl<R: RandomSource> RandomSource for ByteStream<R> {
+    fn fill_bytes(&mut self, dst: &mut [u8]) {
+        self.0.fill_bytes(dst);
+    }
+}
+
+/// Runs one mixed schedule of draws on a generator and on its byte-stream
+/// twin: op 0 is `next_u64`, 1 `next_u32`, 2 `fill_bytes` of `len` bytes,
+/// 3 `fill_u64s` of `len` words. Every draw must agree.
+fn check_mixed_draws_match_byte_stream<R: RandomSource>(
+    mut fast: R,
+    mut slow: ByteStream<R>,
+    ops: &[(u8, usize)],
+) {
+    for (step, &(op, len)) in ops.iter().enumerate() {
+        match op {
+            0 => assert_eq!(fast.next_u64(), slow.next_u64(), "step {step}: next_u64"),
+            1 => assert_eq!(fast.next_u32(), slow.next_u32(), "step {step}: next_u32"),
+            2 => {
+                let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                fast.fill_bytes(&mut a);
+                slow.fill_bytes(&mut b);
+                assert_eq!(a, b, "step {step}: fill_bytes({len})");
+            }
+            _ => {
+                let (mut a, mut b) = (vec![0u64; len], vec![0u64; len]);
+                fast.fill_u64s(&mut a);
+                slow.fill_u64s(&mut b);
+                assert_eq!(a, b, "step {step}: fill_u64s({len})");
+            }
+        }
+    }
+    assert_eq!(
+        fast.next_u64(),
+        slow.next_u64(),
+        "stream position after the schedule"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// ChaCha's overridden `next_u64` and `fill_u64s`, interleaved with
+    /// `next_u32` and `fill_bytes` at lengths that cross the 256-byte
+    /// refill at every offset, read the same byte stream as the trait
+    /// defaults.
+    #[test]
+    fn prop_chacha_mixed_draws_match_byte_stream(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..4, 0usize..80), 1..120),
+    ) {
+        check_mixed_draws_match_byte_stream(
+            ChaChaRng::from_u64_seed(seed),
+            ByteStream(ChaChaRng::from_u64_seed(seed)),
+            &ops,
+        );
+    }
+
+    /// The same mixed schedules on Keccak, across its rate boundaries.
+    #[test]
+    fn prop_keccak_mixed_draws_match_byte_stream(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..4, 0usize..80), 1..120),
+    ) {
+        check_mixed_draws_match_byte_stream(
+            KeccakRng::from_u64_seed(seed),
+            ByteStream(KeccakRng::from_u64_seed(seed)),
+            &ops,
+        );
+    }
 
     /// ChaCha's whole-block `fill_u64s` equals repeated `next_u64` at
     /// awkward lengths, across block boundaries and unaligned starts.
