@@ -25,6 +25,15 @@ pub struct ChaCha20 {
 
 const CHACHA_CONSTANTS: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 
+/// Keystream blocks per batch: the one refill unit of [`ChaChaRng`].
+const BATCH_BLOCKS: usize = 16;
+
+/// A batch as little-endian `u64` words, eight per 64-byte block.
+const BATCH_WORDS: usize = 8 * BATCH_BLOCKS;
+
+/// A batch in bytes (1,024).
+const BATCH_BYTES: usize = 64 * BATCH_BLOCKS;
+
 #[inline(always)]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[a] = state[a].wrapping_add(state[b]);
@@ -37,44 +46,12 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
-/// One ChaCha quarter-round over `N` independent blocks at once: `v[i]`
-/// holds state word `i` of all `N` blocks, so every step is an `N`-lane
-/// elementwise op (add / xor / rotate) that auto-vectorizes — to 128-bit
-/// registers at `N = 4` on the x86_64 baseline, and to 256-bit registers
-/// at `N = 8` when compiled under the AVX2 shim of
-/// [`ChaCha20::eight_blocks_u64s`].
+/// Packs one 16-word state into eight little-endian `u64` words.
 #[inline(always)]
-fn quarter_round_xn<const N: usize>(
-    v: &mut [[u32; N]; 16],
-    a: usize,
-    b: usize,
-    c: usize,
-    d: usize,
-) {
-    #[inline(always)]
-    fn add<const N: usize>(x: [u32; N], y: [u32; N]) -> [u32; N] {
-        let mut o = [0; N];
-        for l in 0..N {
-            o[l] = x[l].wrapping_add(y[l]);
-        }
-        o
+fn state_to_u64s(state: &[u32; 16], out: &mut [u64]) {
+    for (j, w) in out[..8].iter_mut().enumerate() {
+        *w = u64::from(state[2 * j]) | (u64::from(state[2 * j + 1]) << 32);
     }
-    #[inline(always)]
-    fn xor_rot<const N: usize, const R: u32>(x: [u32; N], y: [u32; N]) -> [u32; N] {
-        let mut o = [0; N];
-        for l in 0..N {
-            o[l] = (x[l] ^ y[l]).rotate_left(R);
-        }
-        o
-    }
-    v[a] = add(v[a], v[b]);
-    v[d] = xor_rot::<N, 16>(v[d], v[a]);
-    v[c] = add(v[c], v[d]);
-    v[b] = xor_rot::<N, 12>(v[b], v[c]);
-    v[a] = add(v[a], v[b]);
-    v[d] = xor_rot::<N, 8>(v[d], v[a]);
-    v[c] = add(v[c], v[d]);
-    v[b] = xor_rot::<N, 7>(v[b], v[c]);
 }
 
 impl ChaCha20 {
@@ -92,142 +69,49 @@ impl ChaCha20 {
     }
 
     /// Produces the keystream block for the given counter value as eight
-    /// little-endian `u64` words — the allocation-free fast path behind
-    /// [`RandomSource::fill_u64s`], byte-identical to [`block`](Self::block).
+    /// little-endian `u64` words, byte-identical to [`block`](Self::block).
     pub fn block_u64s(&self, counter: u32) -> [u64; 8] {
-        let bytes = self.block(counter);
         let mut out = [0u64; 8];
-        for (i, w) in out.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8-byte chunk"));
-        }
-        out
-    }
-
-    /// The initial (pre-rounds) state for a given counter.
-    fn initial_state(&self, counter: u32) -> [u32; 16] {
-        let mut state = [0u32; 16];
-        state[0..4].copy_from_slice(&CHACHA_CONSTANTS);
-        state[4..12].copy_from_slice(&self.key);
-        state[12] = counter;
-        state[13..16].copy_from_slice(&self.nonce);
-        state
-    }
-
-    /// Runs the four consecutive blocks `counter .. counter + 4` together:
-    /// the state is assembled once and kept in structure-of-arrays form —
-    /// state word `i` of all four (independent) blocks lives in one
-    /// `[u32; 4]` lane vector, so each quarter-round step is four lanes
-    /// of the same elementwise op and the compiler lowers it to vector
-    /// instructions. Byte-identical to four [`block`](Self::block) calls
-    /// with wrapping counter increments.
-    fn four_states(&self, counter: u32) -> [[u32; 16]; 4] {
-        self.wide_states::<4>(counter)
-    }
-
-    /// Runs the `N` consecutive blocks `counter .. counter + N` together
-    /// in structure-of-arrays form — the width-generic engine behind
-    /// [`four_blocks`](Self::four_blocks) (`N = 4`) and
-    /// [`eight_blocks_u64s`](Self::eight_blocks_u64s) (`N = 8`).
-    /// Byte-identical to `N` single [`block`](Self::block) calls with
-    /// wrapping counter increments.
-    #[inline(always)]
-    fn wide_states<const N: usize>(&self, counter: u32) -> [[u32; 16]; N] {
-        let base = self.initial_state(counter);
-        let mut v: [[u32; N]; 16] = [[0; N]; 16];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = [base[i]; N];
-        }
-        for (k, w) in v[12].iter_mut().enumerate() {
-            *w = counter.wrapping_add(k as u32);
-        }
-        let initial = v;
-        for _ in 0..10 {
-            // Column rounds, each quarter-round across all N blocks.
-            quarter_round_xn(&mut v, 0, 4, 8, 12);
-            quarter_round_xn(&mut v, 1, 5, 9, 13);
-            quarter_round_xn(&mut v, 2, 6, 10, 14);
-            quarter_round_xn(&mut v, 3, 7, 11, 15);
-            // Diagonal rounds.
-            quarter_round_xn(&mut v, 0, 5, 10, 15);
-            quarter_round_xn(&mut v, 1, 6, 11, 12);
-            quarter_round_xn(&mut v, 2, 7, 8, 13);
-            quarter_round_xn(&mut v, 3, 4, 9, 14);
-        }
-        let mut states = [[0u32; 16]; N];
-        for i in 0..16 {
-            for (k, state) in states.iter_mut().enumerate() {
-                state[i] = v[i][k].wrapping_add(initial[i][k]);
-            }
-        }
-        states
-    }
-
-    /// Collapses `N` post-rounds states into little-endian `u64` words,
-    /// eight per block.
-    #[inline(always)]
-    fn states_to_u64s<const N: usize>(states: &[[u32; 16]; N], out: &mut [u64]) {
-        for (k, state) in states.iter().enumerate() {
-            for j in 0..8 {
-                out[8 * k + j] = u64::from(state[2 * j]) | (u64::from(state[2 * j + 1]) << 32);
-            }
-        }
-    }
-
-    /// Four consecutive keystream blocks (`counter .. counter + 4`) as 256
-    /// bytes — the batched refill path of [`ChaChaRng`].
-    pub fn four_blocks(&self, counter: u32) -> [u8; 256] {
-        let states = self.four_states(counter);
-        let mut out = [0u8; 256];
-        for (k, state) in states.iter().enumerate() {
-            for (i, w) in state.iter().enumerate() {
-                out[64 * k + 4 * i..64 * k + 4 * i + 4].copy_from_slice(&w.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Four consecutive keystream blocks as 32 little-endian `u64` words —
-    /// a bulk path of [`RandomSource::fill_u64s`], byte-identical to
-    /// four [`block_u64s`](Self::block_u64s) calls.
-    pub fn four_blocks_u64s(&self, counter: u32) -> [u64; 32] {
-        let states = self.four_states(counter);
-        let mut out = [0u64; 32];
-        Self::states_to_u64s(&states, &mut out);
-        out
-    }
-
-    /// Eight consecutive keystream blocks as 64 little-endian `u64`
-    /// words — the widest bulk path of [`RandomSource::fill_u64s`],
-    /// byte-identical to eight [`block_u64s`](Self::block_u64s) calls.
-    ///
-    /// On x86_64 machines with AVX2 the eight-lane round loop is compiled
-    /// under a `#[target_feature(enable = "avx2")]` shim (selected once
-    /// per call by cached runtime detection), so the structure-of-arrays
-    /// quarter-rounds lower to 256-bit register ops; everywhere else the
-    /// same portable code runs under the baseline instruction set. Both
-    /// paths produce the identical byte stream — vectorization changes
-    /// how blocks are computed, never what they contain.
-    pub fn eight_blocks_u64s(&self, counter: u32) -> [u64; 64] {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(out) = vectored::eight_blocks_u64s(self, counter) {
-            return out;
-        }
-        self.eight_blocks_u64s_portable(counter)
-    }
-
-    /// The portable eight-block body; also the code the AVX2 shim
-    /// compiles under its wider instruction set.
-    #[inline(always)]
-    fn eight_blocks_u64s_portable(&self, counter: u32) -> [u64; 64] {
-        let states = self.wide_states::<8>(counter);
-        let mut out = [0u64; 64];
-        Self::states_to_u64s(&states, &mut out);
+        state_to_u64s(&self.block_state(u64::from(counter)), &mut out);
         out
     }
 
     /// Produces the 64-byte keystream block for the given counter value.
     pub fn block(&self, counter: u32) -> [u8; 64] {
-        let mut state = self.initial_state(counter);
+        let state = self.block_state(u64::from(counter));
+        let mut out = [0u8; 64];
+        for (i, word) in state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    /// State words 12 and 13 for a 64-bit block index: the index is added
+    /// to the 64-bit number whose high half is the first nonce word. Below
+    /// 2^32 that is the RFC 8439 layout (word 12 the counter, word 13 the
+    /// nonce word); with a zero nonce, as in [`ChaChaRng`], it is the
+    /// original ChaCha layout with a 64-bit block counter.
+    #[inline(always)]
+    fn counter_words(&self, block: u64) -> [u32; 2] {
+        let wide = (u64::from(self.nonce[0]) << 32).wrapping_add(block);
+        [wide as u32, (wide >> 32) as u32]
+    }
+
+    /// The initial (pre-rounds) state for a 64-bit block index.
+    #[inline(always)]
+    fn initial_state(&self, block: u64) -> [u32; 16] {
+        let mut state = [0u32; 16];
+        state[0..4].copy_from_slice(&CHACHA_CONSTANTS);
+        state[4..12].copy_from_slice(&self.key);
+        state[12..14].copy_from_slice(&self.counter_words(block));
+        state[14..16].copy_from_slice(&self.nonce[1..]);
+        state
+    }
+
+    /// The scalar block function: twenty rounds plus the feed-forward of
+    /// the initial state. The RFC 8439 oracle every batch path must match.
+    fn block_state(&self, block: u64) -> [u32; 16] {
+        let mut state = self.initial_state(block);
         let initial = state;
 
         for _ in 0..10 {
@@ -242,58 +126,173 @@ impl ChaCha20 {
             quarter_round(&mut state, 2, 7, 8, 13);
             quarter_round(&mut state, 3, 4, 9, 14);
         }
-        let mut out = [0u8; 64];
-        for i in 0..16 {
-            let word = state[i].wrapping_add(initial[i]);
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+        for (word, init) in state.iter_mut().zip(initial) {
+            *word = word.wrapping_add(init);
         }
-        out
+        state
+    }
+
+    /// Writes the [`BATCH_BLOCKS`] consecutive blocks starting at `block`
+    /// into `out`, eight words per block. On x86_64 CPUs with AVX-512F or
+    /// AVX2 the blocks are computed together by the vector body of
+    /// [`vectored`]; elsewhere they are [`BATCH_BLOCKS`] scalar blocks.
+    /// Every path writes the same words.
+    #[inline]
+    fn batch(&self, block: u64, out: &mut [u64; BATCH_WORDS]) {
+        #[cfg(target_arch = "x86_64")]
+        if vectored::avx512f(self, block, out) || vectored::avx2(self, block, out) {
+            return;
+        }
+        self.batch_scalar(block, out);
+    }
+
+    /// The fallback batch: one scalar block function call per block.
+    /// Without vector rotates the structure-of-arrays body is slower than
+    /// this.
+    fn batch_scalar(&self, block: u64, out: &mut [u64; BATCH_WORDS]) {
+        for (k, words) in out.chunks_exact_mut(8).enumerate() {
+            state_to_u64s(&self.block_state(block.wrapping_add(k as u64)), words);
+        }
     }
 }
 
-/// The AVX2 execution shim for the eight-block refill. Isolated in its
-/// own module so the `unsafe` surface of this crate stays at exactly one
-/// function: the `#[target_feature]` wrapper whose body is the portable
-/// code, recompiled with 256-bit registers enabled.
+/// The x86_64 batch path: all [`BATCH_BLOCKS`] blocks of a batch in
+/// structure-of-arrays form, compiled under an AVX-512F or an AVX2 shim.
+/// Isolated in its own module so the `unsafe` surface of this crate stays
+/// at the two shim calls, each behind runtime CPU detection.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod vectored {
-    use super::ChaCha20;
+    use super::{state_to_u64s, ChaCha20, BATCH_BLOCKS, BATCH_WORDS};
 
-    /// The runtime-dispatched entry: `Some` with the eight blocks when
-    /// the CPU has AVX2 (computed under the shim), `None` otherwise.
-    #[inline]
-    pub(super) fn eight_blocks_u64s(cipher: &ChaCha20, counter: u32) -> Option<[u64; 64]> {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 availability was just verified at runtime
-            // (the detection result is cached by std after first use).
-            Some(unsafe { eight_blocks_u64s_avx2(cipher, counter) })
-        } else {
-            None
+    /// Computes the batch under AVX-512F and returns `true`, or returns
+    /// `false` with `out` untouched when the CPU lacks AVX-512F.
+    pub(super) fn avx512f(cipher: &ChaCha20, block: u64, out: &mut [u64; BATCH_WORDS]) -> bool {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            return false;
         }
+        // SAFETY: AVX-512F availability was just verified at runtime (std
+        // caches the detection result after the first query).
+        unsafe { batch_avx512f(cipher, block, out) };
+        true
     }
 
+    /// Computes the batch under AVX2 and returns `true`, or returns
+    /// `false` with `out` untouched when the CPU lacks AVX2.
+    pub(super) fn avx2(cipher: &ChaCha20, block: u64, out: &mut [u64; BATCH_WORDS]) -> bool {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return false;
+        }
+        // SAFETY: AVX2 availability was just verified at runtime (std
+        // caches the detection result after the first query).
+        unsafe { batch_avx2(cipher, block, out) };
+        true
+    }
+
+    /// The batch body with 512-bit registers: each `[u32; 16]` lane vector
+    /// is one register and the rotates lower to `vprold`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must verify AVX-512F availability at runtime
+    /// (`is_x86_feature_detected!("avx512f")`) before calling.
+    #[target_feature(enable = "avx512f")]
+    fn batch_avx512f(cipher: &ChaCha20, block: u64, out: &mut [u64; BATCH_WORDS]) {
+        wide_batch(cipher, block, out);
+    }
+
+    /// The batch body with 256-bit registers.
+    ///
     /// # Safety
     ///
     /// The caller must verify AVX2 availability at runtime
     /// (`is_x86_feature_detected!("avx2")`) before calling.
     #[target_feature(enable = "avx2")]
-    fn eight_blocks_u64s_avx2(cipher: &ChaCha20, counter: u32) -> [u64; 64] {
-        cipher.eight_blocks_u64s_portable(counter)
+    fn batch_avx2(cipher: &ChaCha20, block: u64, out: &mut [u64; BATCH_WORDS]) {
+        wide_batch(cipher, block, out);
+    }
+
+    /// Runs the blocks `block .. block + BATCH_BLOCKS` together: `v[i]`
+    /// holds state word `i` of every block, so each quarter-round step is
+    /// one elementwise op over [`BATCH_BLOCKS`] lanes, which the shims
+    /// compile to vector instructions.
+    #[inline(always)]
+    fn wide_batch(cipher: &ChaCha20, block: u64, out: &mut [u64; BATCH_WORDS]) {
+        let base = cipher.initial_state(block);
+        let mut v = [[0u32; BATCH_BLOCKS]; 16];
+        for (lane, &word) in v.iter_mut().zip(&base) {
+            *lane = [word; BATCH_BLOCKS];
+        }
+        let counters: [[u32; 2]; BATCH_BLOCKS] =
+            std::array::from_fn(|k| cipher.counter_words(block.wrapping_add(k as u64)));
+        v[12] = counters.map(|[low, _]| low);
+        v[13] = counters.map(|[_, high]| high);
+        let initial = v;
+        for _ in 0..10 {
+            // Column rounds, each quarter-round across every block.
+            quarter_round_x(&mut v, 0, 4, 8, 12);
+            quarter_round_x(&mut v, 1, 5, 9, 13);
+            quarter_round_x(&mut v, 2, 6, 10, 14);
+            quarter_round_x(&mut v, 3, 7, 11, 15);
+            // Diagonal rounds.
+            quarter_round_x(&mut v, 0, 5, 10, 15);
+            quarter_round_x(&mut v, 1, 6, 11, 12);
+            quarter_round_x(&mut v, 2, 7, 8, 13);
+            quarter_round_x(&mut v, 3, 4, 9, 14);
+        }
+        for (k, words) in out.chunks_exact_mut(8).enumerate() {
+            let mut state = [0u32; 16];
+            for (i, word) in state.iter_mut().enumerate() {
+                *word = v[i][k].wrapping_add(initial[i][k]);
+            }
+            state_to_u64s(&state, words);
+        }
+    }
+
+    /// One quarter-round over every block of the batch at once.
+    #[inline(always)]
+    fn quarter_round_x(v: &mut [[u32; BATCH_BLOCKS]; 16], a: usize, b: usize, c: usize, d: usize) {
+        #[inline(always)]
+        fn add(x: [u32; BATCH_BLOCKS], y: [u32; BATCH_BLOCKS]) -> [u32; BATCH_BLOCKS] {
+            let mut o = [0; BATCH_BLOCKS];
+            for l in 0..BATCH_BLOCKS {
+                o[l] = x[l].wrapping_add(y[l]);
+            }
+            o
+        }
+        #[inline(always)]
+        fn xor_rot<const R: u32>(
+            x: [u32; BATCH_BLOCKS],
+            y: [u32; BATCH_BLOCKS],
+        ) -> [u32; BATCH_BLOCKS] {
+            let mut o = [0; BATCH_BLOCKS];
+            for l in 0..BATCH_BLOCKS {
+                o[l] = (x[l] ^ y[l]).rotate_left(R);
+            }
+            o
+        }
+        v[a] = add(v[a], v[b]);
+        v[d] = xor_rot::<16>(v[d], v[a]);
+        v[c] = add(v[c], v[d]);
+        v[b] = xor_rot::<12>(v[b], v[c]);
+        v[a] = add(v[a], v[b]);
+        v[d] = xor_rot::<8>(v[d], v[a]);
+        v[c] = add(v[c], v[d]);
+        v[b] = xor_rot::<7>(v[b], v[c]);
     }
 }
-
-/// Bytes buffered per [`ChaChaRng`] refill: four 64-byte keystream blocks
-/// generated together (one state load, four counter increments).
-const REFILL_BYTES: usize = 256;
 
 /// A PRNG backed by the ChaCha20 keystream, as in the Falcon reference
 /// implementation and the paper's Table 1 measurements.
 ///
-/// Refills generate four consecutive blocks per call
-/// ([`ChaCha20::four_blocks`]), which interleaves the four independent
-/// block computations; the byte stream is exactly the single-block
-/// stream, just produced in larger strides.
+/// The generator computes its keystream in batches of sixteen blocks
+/// (1,024 bytes): [`next_u64`](RandomSource::next_u64),
+/// [`next_u32`](RandomSource::next_u32) and
+/// [`fill_bytes`](RandomSource::fill_bytes) draw from one buffered batch,
+/// and [`fill_u64s`](RandomSource::fill_u64s) writes whole batches
+/// straight into the caller's slice. The block counter is 64 bits wide, so
+/// the stream does not repeat after 2^32 blocks; below that it is exactly
+/// the RFC 8439 stream of [`ChaCha20::block`] with a zero nonce.
 ///
 /// # Examples
 ///
@@ -307,8 +306,12 @@ const REFILL_BYTES: usize = 256;
 #[derive(Debug, Clone)]
 pub struct ChaChaRng {
     cipher: ChaCha20,
-    counter: u32,
-    buf: [u8; REFILL_BYTES],
+    /// The first block of the next batch; always a multiple of
+    /// [`BATCH_BLOCKS`], so no batch straddles the carry into word 13.
+    block: u64,
+    /// The buffered batch.
+    buf: [u64; BATCH_WORDS],
+    /// The next unread byte of `buf`.
     pos: usize,
 }
 
@@ -317,9 +320,9 @@ impl ChaChaRng {
     pub fn from_seed(seed: [u8; 32]) -> Self {
         ChaChaRng {
             cipher: ChaCha20::new(&seed, &[0u8; 12]),
-            counter: 0,
-            buf: [0u8; REFILL_BYTES],
-            pos: REFILL_BYTES,
+            block: 0,
+            buf: [0u64; BATCH_WORDS],
+            pos: BATCH_BYTES,
         }
     }
 
@@ -334,8 +337,8 @@ impl ChaChaRng {
     }
 
     fn refill(&mut self) {
-        self.buf = self.cipher.four_blocks(self.counter);
-        self.counter = self.counter.wrapping_add(4);
+        self.cipher.batch(self.block, &mut self.buf);
+        self.block = self.block.wrapping_add(BATCH_BLOCKS as u64);
         self.pos = 0;
     }
 }
@@ -344,30 +347,29 @@ impl RandomSource for ChaChaRng {
     fn fill_bytes(&mut self, dst: &mut [u8]) {
         let mut written = 0;
         while written < dst.len() {
-            if self.pos == REFILL_BYTES {
+            if self.pos == BATCH_BYTES {
                 self.refill();
             }
-            let n = (dst.len() - written).min(REFILL_BYTES - self.pos);
-            dst[written..written + n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+            let word = self.buf[self.pos / 8].to_le_bytes();
+            let offset = self.pos % 8;
+            let n = (dst.len() - written).min(8 - offset);
+            dst[written..written + n].copy_from_slice(&word[offset..offset + n]);
             self.pos += n;
             written += n;
         }
     }
 
-    /// Fast path: the next 8 buffered bytes are read as one word; only a
-    /// word that straddles the end of the buffer takes the byte path.
-    /// Stream-equivalent to the default implementation.
+    /// Fast path: at a word-aligned position the next buffered word is
+    /// returned as is; otherwise (after `next_u32` or byte draws) the word
+    /// takes the byte path. Stream-equivalent to the default
+    /// implementation.
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        if self.pos == REFILL_BYTES {
+        if self.pos == BATCH_BYTES {
             self.refill();
         }
-        if self.pos + 8 <= REFILL_BYTES {
-            let word = u64::from_le_bytes(
-                self.buf[self.pos..self.pos + 8]
-                    .try_into()
-                    .expect("8-byte chunk"),
-            );
+        if self.pos.is_multiple_of(8) {
+            let word = self.buf[self.pos / 8];
             self.pos += 8;
             word
         } else {
@@ -377,54 +379,33 @@ impl RandomSource for ChaChaRng {
         }
     }
 
-    /// Block-filled override: whole keystream blocks are converted to
-    /// `u64` words straight into the destination — 32 words per
-    /// four-block batch while the request is long, 8 per single block for
-    /// the tail — bypassing the byte staging buffer for the bulk of the
-    /// request. Stream-equivalent to the default byte-at-a-time
+    /// Batch-filled override: the rest of the buffered batch first, then
+    /// whole batches computed straight into `dst`, then a sub-batch tail
+    /// from a fresh buffered batch. Stream-equivalent to the default
     /// implementation (see the trait contract).
     fn fill_u64s(&mut self, dst: &mut [u64]) {
-        let mut i = 0;
-        // Drain whatever is left of the buffered blocks first so the byte
-        // stream stays continuous.
-        while i < dst.len() && self.pos < REFILL_BYTES {
-            if self.pos + 8 <= REFILL_BYTES {
-                dst[i] = u64::from_le_bytes(
-                    self.buf[self.pos..self.pos + 8]
-                        .try_into()
-                        .expect("8-byte chunk"),
-                );
-                self.pos += 8;
-            } else {
-                // A word straddling the buffer boundary: take the byte path.
-                dst[i] = self.next_u64();
+        if !self.pos.is_multiple_of(8) {
+            // Every word straddles two buffered words: take the byte path.
+            for w in dst {
+                *w = self.next_u64();
             }
-            i += 1;
+            return;
         }
-        // Eight whole blocks at a time straight into the destination —
-        // the vectorized refill (AVX2 where the CPU has it, portable
-        // structure-of-arrays otherwise; identical bytes either way).
-        while dst.len() - i >= 64 {
-            dst[i..i + 64].copy_from_slice(&self.cipher.eight_blocks_u64s(self.counter));
-            self.counter = self.counter.wrapping_add(8);
-            i += 64;
+        let rest = &self.buf[self.pos / 8..];
+        let head = rest.len().min(dst.len());
+        dst[..head].copy_from_slice(&rest[..head]);
+        self.pos += 8 * head;
+        let mut batches = dst[head..].chunks_exact_mut(BATCH_WORDS);
+        for batch in &mut batches {
+            let batch = batch.try_into().expect("a whole batch");
+            self.cipher.batch(self.block, batch);
+            self.block = self.block.wrapping_add(BATCH_BLOCKS as u64);
         }
-        // Four whole blocks at a time: one state load and four
-        // interleaved block computations per call.
-        while dst.len() - i >= 32 {
-            dst[i..i + 32].copy_from_slice(&self.cipher.four_blocks_u64s(self.counter));
-            self.counter = self.counter.wrapping_add(4);
-            i += 32;
-        }
-        // Whole single blocks: 8 words per block function call.
-        while dst.len() - i >= 8 {
-            dst[i..i + 8].copy_from_slice(&self.cipher.block_u64s(self.counter));
-            self.counter = self.counter.wrapping_add(1);
-            i += 8;
-        }
-        // Tail shorter than a block: refill the buffer as usual.
-        for w in &mut dst[i..] {
-            *w = self.next_u64();
+        let tail = batches.into_remainder();
+        if !tail.is_empty() {
+            self.refill();
+            tail.copy_from_slice(&self.buf[..tail.len()]);
+            self.pos = 8 * tail.len();
         }
     }
 }
@@ -497,11 +478,27 @@ mod tests {
         }
     }
 
-    /// The block-filled `fill_u64s` must be stream-equivalent to the
+    /// Skips `pre_bytes` on two identically seeded generators, then draws
+    /// `words` through `fill_u64s` on one and `next_u64` on the other;
+    /// the words and the following stream position must agree.
+    fn check_fill_u64s_against_next_u64(seed: u8, pre_bytes: usize, words: usize) {
+        let mut fast = ChaChaRng::from_seed([seed; 32]);
+        let mut slow = ChaChaRng::from_seed([seed; 32]);
+        let mut skip = vec![0u8; pre_bytes];
+        fast.fill_bytes(&mut skip);
+        slow.fill_bytes(&mut skip);
+        let mut via_fill = vec![0u64; words];
+        fast.fill_u64s(&mut via_fill);
+        let via_next: Vec<u64> = (0..words).map(|_| slow.next_u64()).collect();
+        assert_eq!(via_fill, via_next, "pre_bytes={pre_bytes}, words={words}");
+        // Both generators must resume the same stream afterwards.
+        assert_eq!(fast.next_u64(), slow.next_u64(), "pre_bytes={pre_bytes}");
+    }
+
+    /// The batch-filled `fill_u64s` must be stream-equivalent to the
     /// default byte-wise implementation, including when the request starts
-    /// mid-block, crosses single-block and four-block boundaries, or
-    /// starts at an unaligned byte position. Word counts around 32 and
-    /// byte offsets around 256 exercise the four-block batch path's edges.
+    /// mid-block, crosses block boundaries, or starts at an unaligned byte
+    /// position.
     #[test]
     fn fill_u64s_matches_byte_stream() {
         for (pre_bytes, words) in [
@@ -524,17 +521,7 @@ mod tests {
             (511, 5),
             (512, 64),
         ] {
-            let mut fast = ChaChaRng::from_seed([9u8; 32]);
-            let mut slow = ChaChaRng::from_seed([9u8; 32]);
-            let mut skip = vec![0u8; pre_bytes];
-            fast.fill_bytes(&mut skip);
-            slow.fill_bytes(&mut skip);
-            let mut via_fill = vec![0u64; words];
-            fast.fill_u64s(&mut via_fill);
-            let via_next: Vec<u64> = (0..words).map(|_| slow.next_u64()).collect();
-            assert_eq!(via_fill, via_next, "pre_bytes={pre_bytes}, words={words}");
-            // Both generators must resume the same stream afterwards.
-            assert_eq!(fast.next_u64(), slow.next_u64(), "pre_bytes={pre_bytes}");
+            check_fill_u64s_against_next_u64(9, pre_bytes, words);
         }
     }
 
@@ -551,59 +538,78 @@ mod tests {
         }
     }
 
-    /// The interleaved four-block batch is byte-identical to four
-    /// independent block calls with wrapping counter increments.
+    /// Block `block` of the 64-bit-counter stream through the RFC 8439
+    /// oracle: the counter's high half is carried into the first nonce
+    /// word.
+    fn oracle_block(key: &[u8; 32], nonce: &[u8; 12], block: u64) -> [u8; 64] {
+        let mut carried = *nonce;
+        let first = u32::from_le_bytes(nonce[..4].try_into().unwrap());
+        carried[..4].copy_from_slice(&first.wrapping_add((block >> 32) as u32).to_le_bytes());
+        ChaCha20::new(key, &carried).block(block as u32)
+    }
+
+    /// A batch is byte-identical to sixteen single `block` calls on every
+    /// path the host has: the AVX-512F shim, the AVX2 shim and the scalar
+    /// fallback, each called directly. Batches that cross 2^32 carry into
+    /// the first nonce word.
     #[test]
-    fn four_blocks_match_single_blocks() {
-        let cipher = ChaCha20::new(&[0x5au8; 32], &[3u8; 12]);
-        for counter in [0u32, 1, 1000, u32::MAX - 1] {
-            let batch = cipher.four_blocks(counter);
-            let words = cipher.four_blocks_u64s(counter);
-            for k in 0..4u32 {
-                let single = cipher.block(counter.wrapping_add(k));
-                let base = 64 * k as usize;
-                assert_eq!(
-                    &batch[base..base + 64],
-                    &single[..],
-                    "counter {counter}+{k}"
-                );
-                let single_words = cipher.block_u64s(counter.wrapping_add(k));
-                assert_eq!(
-                    &words[8 * k as usize..8 * k as usize + 8],
-                    &single_words[..],
-                    "counter {counter}+{k}"
-                );
+    fn batch_matches_single_blocks_on_every_path() {
+        type BatchPath = fn(&ChaCha20, u64, &mut [u64; BATCH_WORDS]) -> bool;
+        let paths: Vec<(&str, BatchPath)> = vec![
+            ("scalar", |cipher, block, out| {
+                cipher.batch_scalar(block, out);
+                true
+            }),
+            #[cfg(target_arch = "x86_64")]
+            ("avx512f", vectored::avx512f),
+            #[cfg(target_arch = "x86_64")]
+            ("avx2", vectored::avx2),
+        ];
+        let cases = [
+            (
+                [0x5au8; 32],
+                [3u8; 12],
+                [0u64, 1, 1000, u64::from(u32::MAX - 1)],
+            ),
+            (
+                [0xa7u8; 32],
+                [11u8; 12],
+                [0u64, 1, 77, u64::from(u32::MAX - 3)],
+            ),
+        ];
+        'paths: for (name, path) in paths {
+            for (key, nonce, counters) in &cases {
+                let cipher = ChaCha20::new(key, nonce);
+                for &counter in counters {
+                    let mut words = [0u64; BATCH_WORDS];
+                    if !path(&cipher, counter, &mut words) {
+                        println!("skipping the {name} batch path: this CPU lacks it");
+                        continue 'paths;
+                    }
+                    for k in 0..BATCH_BLOCKS {
+                        let single = oracle_block(key, nonce, counter + k as u64);
+                        for (j, word) in words[8 * k..8 * k + 8].iter().enumerate() {
+                            assert_eq!(
+                                word.to_le_bytes(),
+                                single[8 * j..8 * j + 8],
+                                "{name}: counter {counter}+{k}, word {j}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
 
-    /// The vectorized eight-block batch is byte-identical to eight
-    /// independent block calls with wrapping counter increments —
-    /// whichever engine (AVX2 shim or portable) the host dispatches to.
-    #[test]
-    fn eight_blocks_match_single_blocks() {
-        let cipher = ChaCha20::new(&[0xa7u8; 32], &[11u8; 12]);
-        for counter in [0u32, 1, 77, u32::MAX - 3] {
-            let words = cipher.eight_blocks_u64s(counter);
-            let portable = cipher.eight_blocks_u64s_portable(counter);
-            assert_eq!(words, portable, "dispatched vs portable, counter {counter}");
-            for k in 0..8u32 {
-                let single = cipher.block_u64s(counter.wrapping_add(k));
-                assert_eq!(
-                    &words[8 * k as usize..8 * k as usize + 8],
-                    &single[..],
-                    "counter {counter}+{k}"
-                );
-            }
-        }
-    }
-
-    /// The vectorized-refill generator must be byte-stream-identical to
-    /// the scalar (one `next_u8` at a time) generator at request lengths
-    /// bracketing every block, four-block and eight-block boundary.
+    /// The buffered generator must be byte-stream-identical to the
+    /// one-byte-at-a-time generator at request lengths bracketing every
+    /// block boundary and the 1,024-byte batch.
     #[test]
     fn vectorized_byte_stream_matches_scalar_at_boundary_lengths() {
-        for len in [1usize, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000] {
+        for len in [
+            1usize, 63, 64, 65, 255, 256, 257, 511, 512, 513, 1000, 1020, 1021, 1022, 1023, 1024,
+            1025, 1026, 1027, 1028, 2047, 2048, 2049,
+        ] {
             let mut fast = ChaChaRng::from_seed([0x2cu8; 32]);
             let mut buf = vec![0u8; len];
             fast.fill_bytes(&mut buf);
@@ -616,13 +622,14 @@ mod tests {
         }
     }
 
-    /// `fill_u64s` boundary matrix around the eight-block (64-word) bulk
-    /// path: word counts bracketing 64 and 128, from byte offsets
-    /// bracketing the 256-byte buffered refill — every edge where the
-    /// vectorized path hands over to the narrower loops.
+    /// `fill_u64s` boundary matrix around the 1,024-byte (128-word)
+    /// batch: word counts bracketing one and eight batches, from byte
+    /// offsets bracketing a block, a quarter batch and the end of the
+    /// buffered batch — every edge where the buffered head, the direct
+    /// batches and the tail hand over.
     #[test]
-    fn fill_u64s_eight_block_refill_edges_match_byte_stream() {
-        for (pre_bytes, words) in [
+    fn fill_u64s_batch_edges_match_byte_stream() {
+        let mut cases = vec![
             (0usize, 63usize),
             (0, 64),
             (0, 65),
@@ -637,17 +644,54 @@ mod tests {
             (256, 128),
             (257, 65),
             (511, 129),
-        ] {
-            let mut fast = ChaChaRng::from_seed([0x71u8; 32]);
-            let mut slow = ChaChaRng::from_seed([0x71u8; 32]);
-            let mut skip = vec![0u8; pre_bytes];
-            fast.fill_bytes(&mut skip);
-            slow.fill_bytes(&mut skip);
-            let mut via_fill = vec![0u64; words];
-            fast.fill_u64s(&mut via_fill);
-            let via_next: Vec<u64> = (0..words).map(|_| slow.next_u64()).collect();
-            assert_eq!(via_fill, via_next, "pre_bytes={pre_bytes}, words={words}");
-            assert_eq!(fast.next_u64(), slow.next_u64(), "pre_bytes={pre_bytes}");
+            (0, 1031),
+            (0, 1032),
+            (0, 1033),
+        ];
+        for pre_bytes in 1020..=1028 {
+            for words in [1, 127, 128, 129, 1031, 1032, 1033] {
+                cases.push((pre_bytes, words));
+            }
+        }
+        for (pre_bytes, words) in cases {
+            check_fill_u64s_against_next_u64(0x71, pre_bytes, words);
+        }
+    }
+
+    /// The block counter is 64 bits wide: started two batches before
+    /// 2^32, the generator's second batch is block 0..16 under nonce word
+    /// 1, not a repeat of the stream's start — through both the buffered
+    /// and the direct path.
+    #[test]
+    fn stream_does_not_repeat_after_two_pow_32_blocks() {
+        let key = [0x3cu8; 32];
+        let start = (1u64 << 32) - BATCH_BLOCKS as u64;
+        let words_of = |nonce: [u8; 12], counters: std::ops::RangeInclusive<u32>| -> Vec<u64> {
+            let cipher = ChaCha20::new(&key, &nonce);
+            counters
+                .flat_map(|c| cipher.block(c))
+                .collect::<Vec<u8>>()
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                .collect()
+        };
+        let last = words_of([0; 12], u32::MAX - 15..=u32::MAX);
+        let carried = words_of([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], 0..=15);
+        let first = words_of([0; 12], 0..=15);
+        assert_ne!(carried, first);
+
+        let at_start = || ChaChaRng {
+            block: start,
+            ..ChaChaRng::from_seed(key)
+        };
+        let mut buffered = at_start();
+        let via_next: Vec<u64> = (0..2 * BATCH_WORDS).map(|_| buffered.next_u64()).collect();
+        let mut direct = at_start();
+        let mut via_fill = vec![0u64; 2 * BATCH_WORDS];
+        direct.fill_u64s(&mut via_fill);
+        for words in [via_next, via_fill] {
+            assert_eq!(words[..BATCH_WORDS], last[..]);
+            assert_eq!(words[BATCH_WORDS..], carried[..]);
         }
     }
 

@@ -22,8 +22,8 @@
 //!   draws (byte-scanning CDT draws lazily; this is how we verify it).
 //!
 //! The block generators override [`RandomSource::fill_u64s`] with a
-//! block-filled fast path (whole ChaCha blocks / Keccak lanes straight
-//! into the destination, no byte staging) that is exactly
+//! block-filled fast path (whole 16-block ChaCha batches / Keccak lanes
+//! straight into the destination, no byte staging) that is exactly
 //! stream-equivalent to the default byte-wise implementation — the
 //! samplers draw their per-batch randomness through it.
 //!
@@ -38,9 +38,10 @@
 //! let bit = bits.next_bit();
 //! let _ = (word, bit);
 //! ```
-// `deny`, not `forbid`: the ChaCha eight-block refill carries one scoped
-// `unsafe` — the `#[target_feature(enable = "avx2")]` shim behind runtime
-// CPU detection. Everything else stays unsafe-free, enforced crate-wide.
+// `deny`, not `forbid`: the ChaCha batch carries two scoped `unsafe`
+// calls — its `#[target_feature(enable = "avx512f")]` and
+// `#[target_feature(enable = "avx2")]` shims, each behind runtime CPU
+// detection. Everything else stays unsafe-free, enforced crate-wide.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
