@@ -548,12 +548,11 @@ mod tests {
         ChaCha20::new(key, &carried).block(block as u32)
     }
 
-    /// A batch is byte-identical to sixteen single `block` calls on every
-    /// path the host has: the AVX-512F shim, the AVX2 shim and the scalar
-    /// fallback, each called directly. Batches that cross 2^32 carry into
-    /// the first nonce word.
-    #[test]
-    fn batch_matches_single_blocks_on_every_path() {
+    /// Batches starting at each of `counters` are byte-identical to
+    /// sixteen single `block` calls on every path the host has: the
+    /// AVX-512F shim, the AVX2 shim and the scalar fallback, each called
+    /// directly. Batches that cross 2^32 carry into the first nonce word.
+    fn check_batch_on_every_path(key: &[u8; 32], nonce: &[u8; 12], counters: &[u64]) {
         type BatchPath = fn(&ChaCha20, u64, &mut [u64; BATCH_WORDS]) -> bool;
         let paths: Vec<(&str, BatchPath)> = vec![
             ("scalar", |cipher, block, out| {
@@ -565,39 +564,56 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             ("avx2", vectored::avx2),
         ];
-        let cases = [
-            (
-                [0x5au8; 32],
-                [3u8; 12],
-                [0u64, 1, 1000, u64::from(u32::MAX - 1)],
-            ),
-            (
-                [0xa7u8; 32],
-                [11u8; 12],
-                [0u64, 1, 77, u64::from(u32::MAX - 3)],
-            ),
-        ];
+        let cipher = ChaCha20::new(key, nonce);
         'paths: for (name, path) in paths {
-            for (key, nonce, counters) in &cases {
-                let cipher = ChaCha20::new(key, nonce);
-                for &counter in counters {
-                    let mut words = [0u64; BATCH_WORDS];
-                    if !path(&cipher, counter, &mut words) {
-                        println!("skipping the {name} batch path: this CPU lacks it");
-                        continue 'paths;
-                    }
-                    for k in 0..BATCH_BLOCKS {
-                        let single = oracle_block(key, nonce, counter + k as u64);
-                        for (j, word) in words[8 * k..8 * k + 8].iter().enumerate() {
-                            assert_eq!(
-                                word.to_le_bytes(),
-                                single[8 * j..8 * j + 8],
-                                "{name}: counter {counter}+{k}, word {j}"
-                            );
-                        }
+            for &counter in counters {
+                let mut words = [0u64; BATCH_WORDS];
+                if !path(&cipher, counter, &mut words) {
+                    println!("skipping the {name} batch path: this CPU lacks it");
+                    continue 'paths;
+                }
+                for k in 0..BATCH_BLOCKS {
+                    let single = oracle_block(key, nonce, counter + k as u64);
+                    for (j, word) in words[8 * k..8 * k + 8].iter().enumerate() {
+                        assert_eq!(
+                            word.to_le_bytes(),
+                            single[8 * j..8 * j + 8],
+                            "{name}: counter {counter}+{k}, word {j}"
+                        );
                     }
                 }
             }
+        }
+    }
+
+    /// Batches at the first blocks, an interior block and the blocks
+    /// just below 2^32 match single blocks on every path.
+    #[test]
+    fn four_blocks_match_single_blocks() {
+        check_batch_on_every_path(
+            &[0x5au8; 32],
+            &[3u8; 12],
+            &[0, 1, 1000, u64::from(u32::MAX - 1)],
+        );
+    }
+
+    /// A second key and nonce: every path matches single blocks, and the
+    /// dispatched batch matches the scalar fallback.
+    #[test]
+    fn eight_blocks_match_single_blocks() {
+        let (key, nonce) = ([0xa7u8; 32], [11u8; 12]);
+        let counters = [0u64, 1, 77, u64::from(u32::MAX - 3)];
+        check_batch_on_every_path(&key, &nonce, &counters);
+        let cipher = ChaCha20::new(&key, &nonce);
+        for counter in counters {
+            let mut dispatched = [0u64; BATCH_WORDS];
+            let mut scalar = [0u64; BATCH_WORDS];
+            cipher.batch(counter, &mut dispatched);
+            cipher.batch_scalar(counter, &mut scalar);
+            assert_eq!(
+                dispatched, scalar,
+                "dispatched vs scalar, counter {counter}"
+            );
         }
     }
 
