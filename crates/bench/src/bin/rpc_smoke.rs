@@ -35,7 +35,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ctgauss_core::{CtSampler, SamplerSpec};
-use ctgauss_pool::{CoalesceConfig, FaultPlan, LaneWidth, Pool, ProfileId, FAULTS_ENV};
+use ctgauss_pool::{
+    CoalesceConfig, FaultPlan, LaneWidth, Pool, ProfileId, DEFAULT_CHAOS_SPEC, FAULTS_ENV,
+};
 use ctgauss_prng::{RandomSource, SplitMix64};
 use ctgauss_rpc_client::harness::{
     arm_watchdog, build_standard_profiles, gen_trace, run_load, verify_replay_coalesced,
@@ -44,9 +46,6 @@ use ctgauss_rpc_client::harness::{
 use ctgauss_rpc_client::{Client, ConnectOptions};
 use ctgauss_rpc_core::{CodecKind, ErrorKind};
 use ctgauss_rpc_server::{DrainReport, Server, ServerConfig};
-
-/// Same built-in plan as the `pool_server`/`rpc_server` examples.
-const DEFAULT_CHAOS_SPEC: &str = "panic@w0.req40;stall@w1.req120:25ms;panic@w1.req260;cacheload:1";
 
 const RPC_TIMEOUT: Duration = Duration::from_secs(30);
 

@@ -59,8 +59,8 @@ impl CoalesceConfig {
     /// The "coalescing off" configuration and the pool default: no
     /// staging, no stealing. A passthrough run delivers bit-identical
     /// per-request samples to any steal-free coalesced run of the same
-    /// trace at the same thread count — the equivalence the CI
-    /// `coalesce-smoke` job diffs.
+    /// trace at the same thread count — the equivalence
+    /// `tests/determinism.rs` checks request for request.
     pub fn passthrough() -> Self {
         CoalesceConfig {
             max_wait: Duration::ZERO,

@@ -3,8 +3,8 @@
 //! Every recovery path in this crate — supervised resurrection, epoch
 //! streams, ticket deadlines, the `WorkerGone` degradation — is only
 //! trustworthy if it can be *exercised*, deterministically, in tests and
-//! in the `pool_server --chaos` harness. A [`FaultPlan`] makes each
-//! failure reachable on demand:
+//! in the `rpc_server --chaos` / `rpc_smoke` harnesses. A [`FaultPlan`]
+//! makes each failure reachable on demand:
 //!
 //! * **panic** a worker when its lifetime batch or request counter
 //!   reaches N (the counters survive resurrection, so a fault fires at
@@ -35,8 +35,17 @@ use std::time::Duration;
 
 /// Environment variable a fault spec string is conventionally read from
 /// (see [`FaultPlan::from_env`]). The library never reads it implicitly
-/// — front ends like `pool_server --chaos` opt in.
+/// — front ends like `rpc_server --chaos` opt in.
 pub const FAULTS_ENV: &str = "CTGAUSS_FAULTS";
+
+/// The built-in chaos plan front ends fall back to when no spec is given
+/// and [`FAULTS_ENV`] is unset: two worker deaths (one early, one deep
+/// enough to land in a resurrected epoch on busy traces), a stall long
+/// enough to trip deadlines, and one cache-load failure. Out-of-range
+/// workers are dropped on arming, so the plan is safe at any thread
+/// count.
+pub const DEFAULT_CHAOS_SPEC: &str =
+    "panic@w0.req40;stall@w1.req120:25ms;panic@w1.req260;cacheload:1";
 
 /// Which per-worker counter triggers a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

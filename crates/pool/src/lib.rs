@@ -34,8 +34,9 @@
 //! * [`PooledBase`] plugs the service into the Falcon signing path as a
 //!   drop-in [`BaseSampler`](ctgauss_falcon::sign::BaseSampler).
 //!
-//! The load-generator front end lives in `examples/pool_server.rs`; the
-//! thread-scaling numbers are in `EXPERIMENTS.md`.
+//! The network front end is `ctgauss-rpc-server` (run it as
+//! `examples/rpc_server.rs`); the thread-scaling numbers are in
+//! `EXPERIMENTS.md`.
 //!
 //! # Examples
 //!
@@ -67,7 +68,9 @@ mod worker;
 
 pub use coalesce::{CoalesceConfig, DispatchRecord};
 pub use falcon_base::{falcon_profile_spec, PooledBase};
-pub use fault::{FaultKind, FaultPlan, FaultSite, FaultSpecError, WorkerFault, FAULTS_ENV};
+pub use fault::{
+    FaultKind, FaultPlan, FaultSite, FaultSpecError, WorkerFault, DEFAULT_CHAOS_SPEC, FAULTS_ENV,
+};
 pub use health::{FailureEvent, FailureOutcome, PoolHealth, ShardHealth, ShardState};
 pub use pool::{
     LaneWidth, Pool, PoolBuilder, PoolError, ProfileId, SampleRequest, SampleResponse, Ticket,

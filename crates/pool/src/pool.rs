@@ -196,7 +196,7 @@ pub struct SampleResponse {
     /// The pool-wide submission sequence number (home shard = seq % threads),
     /// *as echoed back by the serving worker* — compare against
     /// [`Ticket::seq`] to audit for misrouted or duplicated deliveries
-    /// end to end (the `pool_server --verify` front end does).
+    /// end to end (the pool's chaos and telemetry-off tests do).
     pub seq: u64,
 }
 

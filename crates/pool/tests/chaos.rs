@@ -8,13 +8,15 @@
 //! is spent), and the (seed, trace, failure-log) triple replays the live
 //! run bit for bit.
 
+mod common;
+
 use std::time::{Duration, Instant};
 
 use ctgauss_core::SamplerSpec;
 use ctgauss_pool::{
     replay, submit_with_retry, CoalesceConfig, FailureOutcome, FaultPlan, LaneWidth, Pool,
     PoolError, ProfileId, RestartPolicy, RetryPolicy, SampleRequest, ShardState, TraceEntry,
-    WaitError,
+    WaitError, DEFAULT_CHAOS_SPEC,
 };
 use ctgauss_prng::SeedTree;
 
@@ -323,4 +325,45 @@ fn fault_spec_string_drives_the_same_plan_as_the_builder() {
         .stall_at_batch(1, 2, Duration::from_millis(40))
         .fail_cache_loads(3);
     assert_eq!(parsed, built);
+}
+
+/// The chaos gate on a service-shaped workload: the built-in plan at
+/// four shards and the CI env-spec plan (parsed, not read from the
+/// environment) at two, each over a 2,000-request two-profile long-tail
+/// trace — ~500 requests per shard at four, so every worker clause fires,
+/// including worker 1's 260th request. Each live run must replay bit
+/// for bit from its own failure log; the replay derives every `None`
+/// from that log, so equality also proves each lost request accounted.
+#[test]
+fn long_tail_chaos_runs_replay_from_their_failure_logs() {
+    let seed = 7;
+    let trace = common::long_tail_trace(1, 2000);
+    let builtin = FaultPlan::parse(DEFAULT_CHAOS_SPEC).expect("built-in spec parses");
+    // The cache-load clause arms on this thread before the kernels are
+    // built, so with the kernel cache enabled the first load fails and
+    // the build falls back to synthesis.
+    builtin.arm_cache_load_failures();
+    let profiles = common::long_tail_profiles();
+    let env_spec = FaultPlan::parse("panic@w1.req25;panic@w1.req90;stall@w0.req50:15ms")
+        .expect("env spec parses");
+    for (plan, threads) in [(builtin, 4), (env_spec, 2)] {
+        let (live, failures) = common::run_long_tail(&profiles, threads, seed, plan, &trace);
+        // Both plans panic a worker below their thread count.
+        assert!(!failures.is_empty(), "threads {threads}: no worker died");
+        let offline = replay(
+            &SeedTree::from_u64_seed(seed),
+            &profiles,
+            threads,
+            LaneWidth::W4,
+            &trace,
+            &failures,
+            &[],
+        );
+        for (seq, (got, want)) in live.iter().zip(&offline).enumerate() {
+            assert_eq!(
+                got, want,
+                "threads {threads}: seq {seq} diverged from replay"
+            );
+        }
+    }
 }

@@ -296,8 +296,12 @@ fn crashed_run_replays_bit_exactly_from_its_failure_log() {
 // ---------------------------------------------------------------------
 
 /// The specs the multi-profile tests register, in index order.
-fn v2_specs() -> [SamplerSpec; 2] {
-    [SamplerSpec::new("2", 16), SamplerSpec::new("1.5", 16)]
+fn v2_specs() -> [SamplerSpec; 3] {
+    [
+        SamplerSpec::new("2", 16),
+        SamplerSpec::new("1.5", 16),
+        SamplerSpec::new("6.15543", 16),
+    ]
 }
 
 fn v2_profiles() -> Vec<Arc<CtSampler>> {
@@ -308,9 +312,9 @@ fn v2_profiles() -> Vec<Arc<CtSampler>> {
 }
 
 /// A deterministic tiny-request mixed-profile trace: counts 1..=16,
-/// profiles alternating pseudo-randomly — the workload coalescing
+/// `profiles` interleaved pseudo-randomly — the workload coalescing
 /// exists for.
-fn tiny_mixed_trace(seed: u64, len: usize) -> Vec<TraceEntry> {
+fn tiny_mixed_trace(seed: u64, len: usize, profiles: u64) -> Vec<TraceEntry> {
     let mut state = seed | 1;
     let mut next = move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -321,7 +325,7 @@ fn tiny_mixed_trace(seed: u64, len: usize) -> Vec<TraceEntry> {
     };
     (0..len)
         .map(|_| TraceEntry {
-            profile_index: (next() % 2) as usize,
+            profile_index: (next() % profiles) as usize,
             count: 1 + (next() % 16) as usize,
         })
         .collect()
@@ -378,7 +382,7 @@ fn run_v2_trace(pool: &Pool, ids: &[ProfileId], trace: &[TraceEntry]) -> Vec<Opt
 fn coalesced_tiny_requests_replay_bit_exactly_from_dispatch_log() {
     let seed = 7171;
     let threads = 2;
-    let trace = tiny_mixed_trace(0xC0A1_E5CE, 400);
+    let trace = tiny_mixed_trace(0xC0A1_E5CE, 400, 2);
     for width in [LaneWidth::W1, LaneWidth::W4] {
         let (pool, ids) = v2_pool(
             threads,
@@ -428,17 +432,46 @@ fn coalesced_tiny_requests_replay_bit_exactly_from_dispatch_log() {
 /// Coalescing must change latency, not values: at one thread, a
 /// passthrough run (staging disabled, same stream layout) delivers
 /// bit-identical per-request samples to a coalesced run of the same
-/// trace.
+/// three-profile trace. The coalesced run must actually gang requests,
+/// and it replays bit-exactly both from its dispatch log and from the
+/// passthrough schedule.
 #[test]
 fn passthrough_matches_coalesced_at_one_thread() {
     let seed = 909;
-    let trace = tiny_mixed_trace(0xFADE, 300);
-    let (pool, ids) = v2_pool(1, LaneWidth::W4, seed, CoalesceConfig::default());
-    let coalesced = run_v2_trace(&pool, &ids, &trace);
-    let (pool, ids) = v2_pool(1, LaneWidth::W4, seed, CoalesceConfig::passthrough());
-    let passthrough = run_v2_trace(&pool, &ids, &trace);
+    let trace = tiny_mixed_trace(0xFADE, 300, 3);
+    let run = |cfg| {
+        let (pool, ids) = v2_pool(1, LaneWidth::W4, seed, cfg);
+        let live = run_v2_trace(&pool, &ids, &trace);
+        pool.shutdown();
+        let gangs = pool.metrics().counter("pool", "gangs_flushed").unwrap();
+        (live, gangs, pool.dispatch_log())
+    };
+    let (coalesced, coalesced_gangs, dispatch) = run(CoalesceConfig::default());
+    let (passthrough, passthrough_gangs, _) = run(CoalesceConfig::passthrough());
     for (seq, (a, b)) in coalesced.iter().zip(&passthrough).enumerate() {
         assert_eq!(a, b, "coalesced vs passthrough diverged at seq {seq}");
+    }
+    assert!(
+        coalesced_gangs < passthrough_gangs,
+        "nothing coalesced: {coalesced_gangs} gangs staged vs {passthrough_gangs} passthrough"
+    );
+    let seeds = SeedTree::from_u64_seed(seed);
+    for (schedule, name) in [
+        (&dispatch[..], "dispatch log"),
+        (&[], "passthrough schedule"),
+    ] {
+        let replayed = replay(
+            &seeds,
+            &v2_profiles(),
+            1,
+            LaneWidth::W4,
+            &trace,
+            &[],
+            schedule,
+        );
+        for (seq, (got, want)) in coalesced.iter().zip(&replayed).enumerate() {
+            assert_eq!(got, want, "{name} replay diverged at seq {seq}");
+        }
     }
 }
 
@@ -547,7 +580,7 @@ fn stolen_gangs_are_recorded_and_replay_bit_exactly() {
 fn coalesced_chaos_run_replays_from_failure_and_dispatch_logs() {
     let seed = 6007;
     let threads = 2;
-    let trace = tiny_mixed_trace(0xDEAD_BEEF, 300);
+    let trace = tiny_mixed_trace(0xDEAD_BEEF, 300, 2);
     let mut builder = Pool::builder()
         .threads(threads)
         .width(LaneWidth::W1)

@@ -94,9 +94,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// ChaCha's overridden `next_u64` and `fill_u64s`, interleaved with
-    /// `next_u32` and `fill_bytes` at lengths that cross the 256-byte
-    /// refill at every offset, read the same byte stream as the trait
-    /// defaults.
+    /// `next_u32` and `fill_bytes` at lengths that cross the 1,024-byte
+    /// (16-block) refill batch at varying offsets, read the same byte
+    /// stream as the trait defaults.
     #[test]
     fn prop_chacha_mixed_draws_match_byte_stream(
         seed in any::<u64>(),

@@ -1,6 +1,6 @@
-//! The load-test and verification toolkit shared by every front end:
-//! the in-process `pool_server` example, the networked `rpc_server`
-//! example, and the `rpc_smoke` CI binary.
+//! The load-test and verification toolkit shared by the networked
+//! `rpc_server` example, the `rpc_smoke` CI binary and the end-to-end
+//! benchmark.
 //!
 //! Everything here is deterministic by construction — traces are
 //! generated from a seed, retry jitter is seeded, and verification is
@@ -13,7 +13,6 @@
 //! sequence number, not by who asked when.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::BufRead;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,17 +57,6 @@ pub struct TraceLine {
     pub count: usize,
 }
 
-/// A parsed trace: the sample requests, plus the positions of `stats`
-/// line commands (each value is the number of requests submitted before
-/// that snapshot is emitted; may repeat, may equal `requests.len()`).
-#[derive(Debug)]
-pub struct ParsedTrace {
-    /// The sample requests, in submission order.
-    pub requests: Vec<TraceLine>,
-    /// Positions of `stats` commands in the submission stream.
-    pub stats_at: Vec<usize>,
-}
-
 /// Generates the reproducible synthetic trace the front ends load-test
 /// with: mixed small/bulk requests with a long-tail size distribution,
 /// like an LWE-ish workload would issue. Pure function of the arguments.
@@ -100,59 +88,6 @@ pub fn gen_trace(seed: u64, n: usize, profiles: usize, max_count: usize) -> Vec<
         .collect()
 }
 
-/// Parses the line protocol: one request per line, `<profile> <count>`
-/// (or just `<count>` for profile 0); blank lines and `#` comments are
-/// skipped; a line reading `stats` records a snapshot point.
-///
-/// # Panics
-///
-/// Panics (with the line number) on malformed lines or profile indices
-/// at or past `max_profiles` — a bad trace is a harness bug.
-pub fn parse_trace(reader: impl BufRead, max_profiles: usize) -> ParsedTrace {
-    let mut trace = Vec::new();
-    let mut stats_at = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.expect("read trace line");
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == "stats" {
-            stats_at.push(trace.len());
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let first: usize = fields
-            .next()
-            .and_then(|f| f.parse().ok())
-            .unwrap_or_else(|| panic!("trace line {}: expected numbers", lineno + 1));
-        let entry = match fields.next() {
-            Some(second) => TraceLine {
-                profile: first,
-                count: second
-                    .parse()
-                    .unwrap_or_else(|_| panic!("trace line {}: bad count", lineno + 1)),
-            },
-            None => TraceLine {
-                profile: 0,
-                count: first,
-            },
-        };
-        assert!(
-            entry.profile < max_profiles,
-            "trace line {}: profile {} out of range (max {})",
-            lineno + 1,
-            entry.profile,
-            max_profiles - 1
-        );
-        trace.push(entry);
-    }
-    ParsedTrace {
-        requests: trace,
-        stats_at,
-    }
-}
-
 /// The response checksum every verification leg compares: FNV-1a folded
 /// over the samples, in trace order. Bit-exact across machines and runs
 /// by the determinism contract.
@@ -182,16 +117,6 @@ impl Default for FnvChecksum {
     fn default() -> Self {
         FnvChecksum::new()
     }
-}
-
-/// `sorted` must be ascending; returns the `p`-quantile by
-/// nearest-rank (the convention every front end reports).
-pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 /// Arms a watchdog that kills the process (exit 3) if `done` is not set
@@ -514,7 +439,6 @@ pub fn verify_replay_coalesced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     #[test]
     fn gen_trace_is_deterministic_and_bounded() {
@@ -528,21 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_round_trips_gen_output() {
-        let trace = gen_trace(5, 50, 2, 1024);
-        let mut text = String::from("# header\n");
-        for line in &trace {
-            text.push_str(&format!("{} {}\n", line.profile, line.count));
-        }
-        text.push_str("stats\n");
-        let parsed = parse_trace(Cursor::new(text), STANDARD_PROFILES.len());
-        assert_eq!(parsed.requests, trace);
-        assert_eq!(parsed.stats_at, vec![50]);
-    }
-
-    #[test]
     fn checksum_matches_the_historical_fold() {
-        // Pinned against the pool_server implementation this replaced.
+        // Pinned against the plain FNV-1a fold over each sample's u32 bits.
         let mut reference = 0xcbf2_9ce4_8422_2325u64;
         for s in [-3i32, 0, 7, 1000] {
             reference = (reference ^ (s as u32 as u64)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -551,14 +462,5 @@ mod tests {
         checksum.update(&[-3, 0]);
         checksum.update(&[7, 1000]);
         assert_eq!(checksum.value(), reference);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&sorted, 0.0), Duration::from_millis(1));
-        assert_eq!(percentile(&sorted, 0.5), Duration::from_millis(51));
-        assert_eq!(percentile(&sorted, 1.0), Duration::from_millis(100));
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
     }
 }

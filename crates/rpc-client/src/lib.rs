@@ -19,11 +19,11 @@
 //!   instead of guessing from string matching.
 //!
 //! The [`harness`] module holds the load-generation and verification
-//! toolkit shared by the `pool_server` example (in-process), the
-//! `rpc_server` example (network front door), and the `rpc_smoke` CI
-//! binary: trace generation/parsing, the FNV response checksum, latency
-//! percentiles, a windowed pipelined load runner, and the replay-audit
-//! verifier that proves bit-exactness end to end over the wire.
+//! toolkit shared by the `rpc_server` example (network front door), the
+//! `rpc_smoke` CI binary and the end-to-end benchmark: trace generation,
+//! the FNV response checksum, a windowed pipelined load runner, and the
+//! replay-audit verifier that proves bit-exactness end to end over the
+//! wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

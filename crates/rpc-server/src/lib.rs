@@ -173,11 +173,13 @@ impl Shared {
             + self.deadline_expired.load(Ordering::Relaxed)
     }
 
-    /// The `stats` payload: the pool's own telemetry snapshot plus an
-    /// `rpc` section with the server's counters (including the pool
-    /// health verdict the pool section now carries).
+    /// The `stats` payload: the pool's own telemetry snapshot (including
+    /// its health verdict), the process-global `kernel_cache` and
+    /// `synthesis` sections, and an `rpc` section with the server's
+    /// counters.
     fn stats_json(&self) -> String {
         let mut snap = self.pool.metrics();
+        ctgauss_core::attach_metrics(&mut snap);
         let rpc = snap.section("rpc");
         rpc.label(
             "draining",

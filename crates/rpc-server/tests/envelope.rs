@@ -110,6 +110,21 @@ fn both_codecs_round_trip_against_a_live_server() {
             json.get("rpc").and_then(|r| r.get("accepted")).is_some(),
             "stats must carry the rpc section"
         );
+        assert!(
+            json.get("kernel_cache")
+                .and_then(|c| c.get("hits"))
+                .is_some(),
+            "stats must carry the kernel_cache section"
+        );
+        // The fixture built its profile in this process, so the
+        // probability-table stage has run at least once.
+        assert!(
+            json.get("synthesis")
+                .and_then(|s| s.get("prob-tables_runs"))
+                .and_then(|n| n.as_f64())
+                .is_some_and(|runs| runs >= 1.0),
+            "stats must carry the synthesis section"
+        );
         assert_eq!(
             json.get("pool")
                 .and_then(|p| p.get("health"))

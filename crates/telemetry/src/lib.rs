@@ -21,8 +21,8 @@
 //!
 //! Aggregation happens in [`MetricsSnapshot`]: a named tree of sections,
 //! each holding labels, counters, gauges and histograms, serializable to
-//! JSON ([`MetricsSnapshot::to_json`]) for the `pool_server stats`
-//! command, `--metrics-out`, and the `BENCH_*.json` artifacts. The
+//! JSON ([`MetricsSnapshot::to_json`]) for the RPC `stats` endpoint
+//! and the `BENCH_*.json` artifacts. The
 //! [`MachineFingerprint`] identifies *where* a number was measured
 //! (commit, rustc, CPU features, detected SIMD backend) — every
 //! machine-readable artifact embeds one so trend lines never silently
@@ -70,9 +70,9 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 ///
 /// Off is the fast path: every [`Counter::add`] / [`Histogram::record`]
 /// reduces to one relaxed load and a branch. Snapshots still work (they
-/// read whatever was recorded while enabled). Used by `pool_server
-/// --verify` to prove a metrics-enabled run replays bit-exactly against
-/// a metrics-disabled one.
+/// read whatever was recorded while enabled). The pool's
+/// `telemetry_off` test uses it to prove a metrics-enabled run replays
+/// bit-exactly against a metrics-disabled one.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -2,8 +2,8 @@
 //! counters, gauges and histograms.
 //!
 //! Producers (the pool, the kernel cache, the synthesis pipeline) each
-//! fill a [`Section`]; consumers (`pool_server stats`, `--metrics-out`,
-//! the bench artifacts) serialize the whole [`MetricsSnapshot`] to JSON.
+//! fill a [`Section`]; consumers (the RPC `stats` endpoint, the bench
+//! artifacts) serialize the whole [`MetricsSnapshot`] to JSON.
 //! `BTreeMap` keys keep the serialization stable — two snapshots of the
 //! same state are byte-identical, which the artifact diffing relies on.
 
@@ -135,7 +135,7 @@ impl MetricsSnapshot {
         )
     }
 
-    /// Compact single-line JSON — the `pool_server stats` wire format.
+    /// Compact single-line JSON — the RPC `stats` payload format.
     pub fn to_json_line(&self) -> String {
         self.to_json().to_string_compact()
     }

@@ -29,13 +29,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ctgauss_pool::{FaultPlan, LaneWidth, Pool, FAULTS_ENV};
+use ctgauss_pool::{FaultPlan, LaneWidth, Pool, DEFAULT_CHAOS_SPEC, FAULTS_ENV};
 use ctgauss_rpc_client::harness::build_standard_profiles;
 use ctgauss_rpc_server::{Server, ServerConfig};
-
-/// The chaos plan used when `--chaos` is given without a spec and
-/// `CTGAUSS_FAULTS` is unset. Same default as `pool_server`.
-const DEFAULT_CHAOS_SPEC: &str = "panic@w0.req40;stall@w1.req120:25ms;panic@w1.req260;cacheload:1";
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -43,7 +39,7 @@ fn usage() -> ExitCode {
                         [--profiles K] [--conn-inflight N] [--global-inflight N]\n\
                         [--default-deadline MS] [--max-deadline MS] [--chaos [SPEC]]\n\
        serves until stdin reads `quit` (or closes), then drains and reports;\n\
-       chaos SPEC as in pool_server, defaulting to ${FAULTS_ENV} or a built-in plan"
+       chaos SPEC as for `FaultPlan::parse`, defaulting to ${FAULTS_ENV} or a built-in plan"
     );
     ExitCode::from(2)
 }
