@@ -62,7 +62,8 @@ fn bench_kernel_compare(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(sampler.run_batch(&inputs, signs)))
         });
         // Wide tiled path, PRNG included but cheap (SplitMix64):
-        // 256 samples per iteration through reused scratch.
+        // 256 samples per iteration through reused scratch, on the
+        // backend the sampler picks for 4-word batches.
         let mut fast_rng = SplitMix64::new(17);
         let mut scratch = sampler.scratch::<4>();
         let mut out = [0i32; 256];

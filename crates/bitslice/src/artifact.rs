@@ -8,10 +8,10 @@
 //!
 //! * the source [`Program`] (the SSA oracle used for audits and load-time
 //!   probe checks),
-//! * the [`CompiledKernel`] / [`TiledKernel`] pair, stored once as the
-//!   tiled kernel's micro-op stream + tile stream + slot map + outputs
-//!   (the compiled kernel decodes from the same stream, exactly as
-//!   [`TiledKernel::micro_instrs`] guarantees),
+//! * the [`TiledKernel`], stored as its micro-op stream
+//!   ([`TiledKernel::micro_instrs`]) + tile stream + slot map + outputs.
+//!   The [`CompiledKernel`](crate::CompiledKernel) it was tiled from is a
+//!   build-time IR and is not stored,
 //! * an opaque `meta` section for the embedding application (the core
 //!   crate stores its build report and stage fingerprints there).
 //!
@@ -29,7 +29,7 @@
 //!               the synthesis inputs; the cache addresses files by it
 //! 20      8     payload length (u64)
 //! 28      8     checksum (u64) — FNV-1a over bytes [0, 28) ++ payload
-//! 36      ...   payload: program / lowering stats / tiled kernel / meta
+//! 36      ...   payload: program / tiled kernel / meta
 //! ```
 //!
 //! # Load-time validation
@@ -64,7 +64,7 @@
 
 use core::fmt;
 
-use crate::kernel::{CompiledKernel, Instr, LoweringStats, Opcode};
+use crate::kernel::{Instr, Opcode};
 use crate::program::{Op, Program};
 use crate::tile::{Tile, TiledKernel};
 
@@ -72,7 +72,7 @@ use crate::tile::{Tile, TiledKernel};
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"CTGKERN\0";
 
 /// The artifact format version (see the module-level bump policy).
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Bytes before the payload: magic, version, fingerprint, payload length,
 /// checksum.
@@ -272,8 +272,8 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// One sampler's serialized synthesis products: source program, lowered
-/// kernels, and an application-owned `meta` section, addressed by a
+/// One sampler's serialized synthesis products: source program, tiled
+/// kernel, and an application-owned `meta` section, addressed by a
 /// content fingerprint.
 ///
 /// # Examples
@@ -287,9 +287,8 @@ impl<'a> ByteReader<'a> {
 ///     vec![Op::Input(0), Op::Input(1), Op::Not(1), Op::And(0, 2)],
 ///     vec![3],
 /// );
-/// let kernel = CompiledKernel::lower(&p);
-/// let tiled = TiledKernel::lower(&kernel);
-/// let artifact = KernelArtifact::new(7, p, kernel, tiled, b"meta".to_vec());
+/// let tiled = TiledKernel::lower(&CompiledKernel::lower(&p));
+/// let artifact = KernelArtifact::new(7, p, tiled, b"meta".to_vec());
 /// let bytes = artifact.to_bytes();
 /// let back = KernelArtifact::from_bytes(&bytes).unwrap();
 /// assert_eq!(back.fingerprint(), 7);
@@ -299,7 +298,6 @@ impl<'a> ByteReader<'a> {
 pub struct KernelArtifact {
     fingerprint: u64,
     program: Program,
-    kernel: CompiledKernel,
     tiled: TiledKernel,
     meta: Vec<u8>,
 }
@@ -309,22 +307,13 @@ impl KernelArtifact {
     ///
     /// # Panics
     ///
-    /// Panics unless the parts form one consistent lowering chain: equal
-    /// input counts, the tiled kernel a pure re-encoding of the per-op
-    /// kernel (same micro-ops, slots and outputs), and one program output
-    /// per kernel output.
-    pub fn new(
-        fingerprint: u64,
-        program: Program,
-        kernel: CompiledKernel,
-        tiled: TiledKernel,
-        meta: Vec<u8>,
-    ) -> Self {
-        check_parts(&program, &kernel, &tiled);
+    /// Panics unless the program and the kernel agree in shape: equal
+    /// input counts and one program output per kernel output.
+    pub fn new(fingerprint: u64, program: Program, tiled: TiledKernel, meta: Vec<u8>) -> Self {
+        check_parts(&program, &tiled);
         KernelArtifact {
             fingerprint,
             program,
-            kernel,
             tiled,
             meta,
         }
@@ -340,11 +329,6 @@ impl KernelArtifact {
         &self.program
     }
 
-    /// The compiled kernel: the lowering IR the tiled kernel re-encodes.
-    pub fn kernel(&self) -> &CompiledKernel {
-        &self.kernel
-    }
-
     /// The tiled production kernel.
     pub fn tiled(&self) -> &TiledKernel {
         &self.tiled
@@ -356,26 +340,14 @@ impl KernelArtifact {
     }
 
     /// Decomposes the artifact into its parts, in declaration order.
-    pub fn into_parts(self) -> (u64, Program, CompiledKernel, TiledKernel, Vec<u8>) {
-        (
-            self.fingerprint,
-            self.program,
-            self.kernel,
-            self.tiled,
-            self.meta,
-        )
+    pub fn into_parts(self) -> (u64, Program, TiledKernel, Vec<u8>) {
+        (self.fingerprint, self.program, self.tiled, self.meta)
     }
 
     /// Serializes to the wire format described in the module docs.
     /// Equivalent to [`encode`] over the artifact's parts.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode(
-            self.fingerprint,
-            &self.program,
-            &self.kernel,
-            &self.tiled,
-            &self.meta,
-        )
+        encode(self.fingerprint, &self.program, &self.tiled, &self.meta)
     }
 
     /// Deserializes and fully validates an artifact (see the module-level
@@ -476,25 +448,6 @@ impl KernelArtifact {
         // Every `Program::new` panic condition was checked above.
         let program = Program::new(num_inputs, ops, outputs);
 
-        // Lowering-stats section.
-        let mut counters = [0usize; 8];
-        for c in &mut counters {
-            *c = usize::try_from(r.u64()?)
-                .map_err(|_| ArtifactError::Malformed("stat counter exceeds usize"))?;
-        }
-        let [source_ops, dead_removed, fused, folded, gvn, scheduled, stat_instrs, stat_slots] =
-            counters;
-        let stats = LoweringStats {
-            source_ops,
-            dead_removed,
-            fused,
-            folded,
-            gvn,
-            scheduled,
-            instrs: stat_instrs,
-            slots: stat_slots,
-        };
-
         // Tiled-kernel section: operand bounds, canonical zero fields.
         let num_slots_raw = r.u32()?;
         let num_slots = u16::try_from(num_slots_raw)
@@ -543,11 +496,6 @@ impl KernelArtifact {
                 }
             }
             instrs.push(Instr { op, dst, a, b });
-        }
-        if stats.instrs != instrs.len() || stats.slots != num_slots as usize {
-            return Err(ArtifactError::Malformed(
-                "lowering stats disagree with the instruction stream",
-            ));
         }
 
         // Tile stream: must decode to exactly the micro-op stream.
@@ -598,19 +546,10 @@ impl KernelArtifact {
         let meta = r.bytes(meta_len)?.to_vec();
         r.finish()?;
 
-        let kernel = CompiledKernel::from_artifact(
-            num_inputs,
-            num_slots,
-            instrs,
-            output_slots.clone(),
-            stats,
-        );
-        let tiled =
-            TiledKernel::from_artifact(num_inputs, num_slots, tiles, kernel.instrs(), output_slots);
+        let tiled = TiledKernel::from_parts(num_inputs, num_slots, tiles, &instrs, output_slots);
         Ok(KernelArtifact {
             fingerprint,
             program,
-            kernel,
             tiled,
             meta,
         })
@@ -618,40 +557,26 @@ impl KernelArtifact {
 }
 
 /// The consistency gate shared by [`KernelArtifact::new`] and [`encode`]:
-/// the parts must form one lowering chain.
-fn check_parts(program: &Program, kernel: &CompiledKernel, tiled: &TiledKernel) {
-    assert_eq!(program.num_inputs(), kernel.num_inputs(), "input counts");
-    assert_eq!(kernel.num_inputs(), tiled.num_inputs(), "input counts");
-    assert_eq!(kernel.num_slots(), tiled.num_slots(), "slot counts");
-    assert_eq!(kernel.output_slots(), tiled.output_slots(), "output slots");
+/// the program and the kernel must agree in shape.
+fn check_parts(program: &Program, tiled: &TiledKernel) {
+    assert_eq!(program.num_inputs(), tiled.num_inputs(), "input counts");
     assert_eq!(
         program.outputs().len(),
         tiled.num_outputs(),
         "output counts"
     );
-    assert_eq!(
-        tiled.micro_instrs(),
-        kernel.instrs(),
-        "tiled kernel must re-encode the compiled kernel"
-    );
 }
 
 /// Serializes one synthesis run's products to the wire format described
 /// in the module docs, without taking ownership — the store path's
-/// entry point (the sampler keeps its kernels; nothing is cloned).
+/// entry point (the sampler keeps its kernel; nothing is cloned).
 ///
 /// # Panics
 ///
 /// Panics unless the parts form one consistent lowering chain (same
 /// conditions as [`KernelArtifact::new`]).
-pub fn encode(
-    fingerprint: u64,
-    program: &Program,
-    kernel: &CompiledKernel,
-    tiled: &TiledKernel,
-    meta: &[u8],
-) -> Vec<u8> {
-    check_parts(program, kernel, tiled);
+pub fn encode(fingerprint: u64, program: &Program, tiled: &TiledKernel, meta: &[u8]) -> Vec<u8> {
+    check_parts(program, tiled);
     let mut w = ByteWriter::new();
 
     // Program section.
@@ -676,29 +601,12 @@ pub fn encode(
         w.u32(o);
     }
 
-    // Lowering-stats section (so a cached kernel reports the same
-    // counters as the fresh build).
-    let s = kernel.stats();
-    for v in [
-        s.source_ops,
-        s.dead_removed,
-        s.fused,
-        s.folded,
-        s.gvn,
-        s.scheduled,
-        s.instrs,
-        s.slots,
-    ] {
-        w.u64(v as u64);
-    }
-
-    // Tiled-kernel section: slot map size, dense micro-op stream,
-    // tile stream, output slots. The compiled kernel is not stored
-    // separately — it is this same stream (`micro_instrs`).
+    // Tiled-kernel section: slot map size, micro-op stream, tile
+    // stream, output slots.
     w.u32(tiled.num_slots() as u32);
-    let instrs = kernel.instrs();
+    let instrs = tiled.micro_instrs();
     w.u32(instrs.len() as u32);
-    for i in instrs {
+    for i in &instrs {
         w.u8(i.op.code());
         w.u16(i.dst);
         w.u16(i.a);
@@ -737,7 +645,7 @@ pub fn encode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{interpret, Op, Program};
+    use crate::{interpret, CompiledKernel, Op, Program};
 
     fn sample_artifact() -> KernelArtifact {
         let mut ops = vec![Op::Input(0), Op::Input(1), Op::Const(true)];
@@ -752,9 +660,8 @@ mod tests {
         }
         let out = (ops.len() - 1) as u32;
         let program = Program::new(2, ops, vec![out, 2]);
-        let kernel = CompiledKernel::lower(&program);
-        let tiled = TiledKernel::lower(&kernel);
-        KernelArtifact::new(0xfeed_beef, program, kernel, tiled, b"report".to_vec())
+        let tiled = TiledKernel::lower(&CompiledKernel::lower(&program));
+        KernelArtifact::new(0xfeed_beef, program, tiled, b"report".to_vec())
     }
 
     #[test]
@@ -833,9 +740,8 @@ mod tests {
     #[test]
     fn empty_program_round_trips() {
         let program = Program::new(0, vec![], vec![]);
-        let kernel = CompiledKernel::lower(&program);
-        let tiled = TiledKernel::lower(&kernel);
-        let artifact = KernelArtifact::new(1, program, kernel, tiled, Vec::new());
+        let tiled = TiledKernel::lower(&CompiledKernel::lower(&program));
+        let artifact = KernelArtifact::new(1, program, tiled, Vec::new());
         let back = KernelArtifact::from_bytes(&artifact.to_bytes()).unwrap();
         assert_eq!(back, artifact);
         assert_eq!(back.tiled().run::<u64>(&[]), Vec::<u64>::new());

@@ -546,41 +546,9 @@ impl CompiledKernel {
         }
     }
 
-    /// Reassembles a kernel from deserialized artifact parts.
-    ///
-    /// The caller ([`crate::artifact`]) has already validated the stream:
-    /// every `dst`/`a`/`b` slot id is below `num_slots`, input indices are
-    /// below `num_inputs`, and the output slots are in range. Stats are
-    /// taken from the artifact verbatim so a cached kernel reports the
-    /// same lowering counters as the fresh build it was serialized from.
-    pub(crate) fn from_artifact(
-        num_inputs: u32,
-        num_slots: u16,
-        instrs: Vec<Instr>,
-        output_slots: Vec<u16>,
-        stats: LoweringStats,
-    ) -> Self {
-        debug_assert!(instrs
-            .iter()
-            .all(|i| i.dst < num_slots && (i.op != Opcode::Input || (i.a as u32) < num_inputs)));
-        debug_assert!(output_slots.iter().all(|&s| s < num_slots));
-        CompiledKernel {
-            num_inputs,
-            num_slots,
-            instrs,
-            output_slots,
-            stats,
-        }
-    }
-
     /// Number of input words the kernel consumes.
     pub fn num_inputs(&self) -> u32 {
         self.num_inputs
-    }
-
-    /// Number of output words the kernel produces.
-    pub fn num_outputs(&self) -> usize {
-        self.output_slots.len()
     }
 
     /// Size of the reusable slot array (lane words of scratch the

@@ -14,9 +14,10 @@
 //!   `b_0 & b_1 & ... & b_k` of Equation 2 are computed once.
 //! * [`interpret`] — executes a program over `u64` lanes (the reference
 //!   oracle: simple and obviously correct).
-//! * [`CompiledKernel`] — the optimizing lowering pipeline (an IR, not an
-//!   engine): dead-code elimination, `AndNot`/`Xnor` op fusion, constant
-//!   folding, post-fusion GVN/CSE, windowed list scheduling, and liveness +
+//! * [`CompiledKernel`] — the optimizing lowering pipeline (a build-time
+//!   IR, not an engine; only the tiled kernel is kept or serialized):
+//!   dead-code elimination, `AndNot`/`Xnor` op fusion, constant folding,
+//!   post-fusion GVN/CSE, windowed list scheduling, and liveness +
 //!   linear-scan slot allocation.
 //! * [`TiledKernel`] — the production execution engine, and the only one
 //!   besides the interpreter: the compiled kernel's instruction stream

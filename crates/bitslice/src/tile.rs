@@ -103,8 +103,8 @@ impl OpStream for WideStream<'_> {
 /// Counters describing what tiling did, for reports and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TileStats {
-    /// Micro-ops in the stream (equals the compiled kernel's instruction
-    /// count — tiling neither adds nor removes work).
+    /// Micro-ops in the stream (equals the instruction count of the
+    /// lowering it was tiled from — tiling neither adds nor removes work).
     pub micro_ops: usize,
     /// Tiles, i.e. dispatches per execution — the number the
     /// superinstruction pass exists to shrink.
@@ -135,12 +135,15 @@ fn ones_like<L: LaneWord>(_: &[L]) -> L {
 }
 
 /// Runs `$masked` with `$slots` bound to a zeroed `&mut [$lane; N]` stack
-/// array of the smallest power-of-two tier (128 / 512 / 2048) holding
-/// `$num_slots` lane words, or `$heap` with `$slots` bound to a zeroed
-/// `&mut [$lane]` heap buffer when even the largest tier is too small.
+/// array of the smallest power-of-two tier (128 / 512 / 1024 / 2048)
+/// holding `$num_slots` lane words, or `$heap` with `$slots` bound to a
+/// zeroed `&mut [$lane]` heap buffer when even the largest tier is too
+/// small.
 ///
 /// The masked body is monomorphized once per tier, so the executor's
-/// `N - 1` index masking stays a compile-time constant in every arm.
+/// `N - 1` index masking stays a compile-time constant in every arm. Each
+/// call zeroes its whole tier; the 1024 tier spares the ~690-slot n = 128
+/// kernels (Falcon's base) a 2048-slot array, 128 KiB at AVX-512 width.
 macro_rules! with_stack_slots {
     ($num_slots:expr, $lane:ty, |$slots:ident| $masked:expr, |$heap_slots:ident| $heap:expr $(,)?) => {{
         match $num_slots {
@@ -154,7 +157,12 @@ macro_rules! with_stack_slots {
                 let $slots = &mut arr;
                 $masked
             }
-            513..=2048 => {
+            513..=1024 => {
+                let mut arr = [<$lane as LaneWord>::ZERO; 1024];
+                let $slots = &mut arr;
+                $masked
+            }
+            1025..=2048 => {
                 let mut arr = [<$lane as LaneWord>::ZERO; 2048];
                 let $slots = &mut arr;
                 $masked
@@ -321,10 +329,9 @@ macro_rules! tiles {
                 }
             }
 
-            /// The plain executor behind [`execute`](Self::execute):
-            /// caller-provided slice scratch, ordinary bounds checks —
-            /// the path large (> 2048-slot) kernels and the wide batch
-            /// APIs use.
+            /// The plain executor behind `execute`: slice scratch,
+            /// ordinary bounds checks — the path large (> 2048-slot)
+            /// kernels take.
             #[inline(always)]
             fn run_plain<L: LaneWord, S: OpStream>(
                 &self,
@@ -454,7 +461,7 @@ impl TiledKernel {
             tiles.push(tile);
             i += tile.width();
         }
-        Self::assemble(
+        Self::from_parts(
             kernel.num_inputs(),
             kernel.num_slots() as u16,
             tiles,
@@ -463,29 +470,14 @@ impl TiledKernel {
         )
     }
 
-    /// Reassembles a tiled kernel from deserialized artifact parts.
-    ///
-    /// The caller ([`crate::artifact`]) has already validated the parts:
-    /// operand/output ids are in range and the tile stream decodes to
-    /// exactly `instrs` (widths sum to the stream length, each tile's
-    /// opcode pattern matches in place). The packed operand encoding and
-    /// the stats are recomputed with the same rules as
-    /// [`lower`](Self::lower), so a deserialized kernel is structurally
-    /// identical to the one that was serialized.
-    pub(crate) fn from_artifact(
-        num_inputs: u32,
-        num_slots: u16,
-        tiles: Vec<Tile>,
-        instrs: &[Instr],
-        output_slots: Vec<u16>,
-    ) -> Self {
-        Self::assemble(num_inputs, num_slots, tiles, instrs, output_slots)
-    }
-
-    /// Shared tail of [`lower`] and [`from_artifact`]: packs the operand
+    /// Assembles a tiled kernel from its parts — the tail of
+    /// [`lower`](Self::lower), and how [`crate::artifact`] rebuilds a
+    /// deserialized kernel after validating the parts (ids in range, the
+    /// tile stream decoding to exactly `instrs`). Packs the operand
     /// stream (dense one-`u32` encoding when every id fits 9 bits) and
-    /// derives the tile-size histogram.
-    fn assemble(
+    /// derives the tile-size histogram, so a deserialized kernel is
+    /// structurally identical to the one that was serialized.
+    pub(crate) fn from_parts(
         num_inputs: u32,
         num_slots: u16,
         tiles: Vec<Tile>,
@@ -556,8 +548,8 @@ impl TiledKernel {
         self.output_slots.len()
     }
 
-    /// Size of the reusable slot array (lane words of scratch needed by
-    /// [`execute`](Self::execute)) — identical to the source kernel's.
+    /// Size of the slot array (lane words of scratch one execution
+    /// needs) — identical to the source kernel's.
     pub fn num_slots(&self) -> usize {
         self.num_slots as usize
     }
@@ -622,14 +614,11 @@ impl TiledKernel {
             .count()
     }
 
-    /// Executes the tiled kernel over caller-provided scratch, writing one
-    /// lane word per declared output into `outputs` — the wide batch APIs'
-    /// entry point. `slots` is reusable scratch of at least
-    /// [`num_slots`](Self::num_slots) words; its prior contents are ignored
-    /// and overwritten. The instruction sequence and memory-access pattern
-    /// are fixed at lowering time — independent of the input values — so
-    /// the constant-time contract of the source program carries over.
-    /// Nothing is allocated.
+    /// Executes the tiled kernel over slice scratch, writing one lane
+    /// word per declared output into `outputs` — the fallback of
+    /// [`execute_fast`](Self::execute_fast) for kernels of more than 2048
+    /// slots. `slots` holds at least [`num_slots`](Self::num_slots)
+    /// words; its prior contents are ignored and overwritten.
     ///
     /// # Panics
     ///
@@ -637,7 +626,7 @@ impl TiledKernel {
     /// `slots` is shorter than [`num_slots`](Self::num_slots), or
     /// `outputs.len()` differs from the declared output count.
     #[inline]
-    pub fn execute<L: LaneWord>(&self, inputs: &[L], slots: &mut [L], outputs: &mut [L]) {
+    fn execute<L: LaneWord>(&self, inputs: &[L], slots: &mut [L], outputs: &mut [L]) {
         self.check_shapes(inputs.len(), outputs.len());
         assert!(
             slots.len() >= self.num_slots as usize,
@@ -651,10 +640,16 @@ impl TiledKernel {
         }
     }
 
-    /// Executes the tiled kernel with internally managed scratch: kernels
-    /// up to 2048 slots run over a fixed-size stack array through the
-    /// masked, bounds-check-free tile handlers; larger kernels fall back
-    /// to a heap-allocated slot buffer and [`execute`](Self::execute).
+    /// Executes the tiled kernel with internally managed scratch, writing
+    /// one lane word per declared output into `outputs` — the entry point
+    /// every sampling API reaches, directly for scalar batches and through
+    /// [`Backend::run_tiled`](crate::Backend::run_tiled) for lane batches.
+    /// Kernels up to 2048 slots run over a fixed-size stack array through
+    /// the masked, bounds-check-free tile handlers; larger kernels fall
+    /// back to a heap-allocated slot buffer and the plain handlers. The
+    /// instruction sequence and memory-access pattern are fixed at
+    /// lowering time — independent of the input values — so the
+    /// constant-time contract of the source program carries over.
     ///
     /// # Panics
     ///
@@ -668,13 +663,13 @@ impl TiledKernel {
                 self.num_slots as usize,
                 L,
                 |slots| self.run_masked(DenseStream(c), inputs, slots, outputs),
-                |slots| self.run_plain(DenseStream(c), inputs, slots, outputs),
+                |slots| self.execute(inputs, slots, outputs),
             ),
             Code::Wide(c) => with_stack_slots!(
                 self.num_slots as usize,
                 L,
                 |slots| self.run_masked(WideStream(c), inputs, slots, outputs),
-                |slots| self.run_plain(WideStream(c), inputs, slots, outputs),
+                |slots| self.execute(inputs, slots, outputs),
             ),
         }
     }
@@ -853,10 +848,14 @@ mod tests {
 
     #[test]
     fn wide_encoding_kicks_in_above_dense_limit() {
-        let p = wide_live_program(600);
-        let tiled = check_tiled(&p, &[0xaaaa_5555_0f0f_f0f0, 0x1111_2222_3333_4444]);
-        assert!(!tiled.stats().dense, "600 live slots exceed 9-bit ids");
-        assert!(tiled.num_slots() > DENSE_LIMIT);
+        // ~600 and ~1500 live slots: the 1024 and 2048 stack tiers.
+        for (width, tier) in [(600, 1024), (1500, 2048)] {
+            let p = wide_live_program(width);
+            let tiled = check_tiled(&p, &[0xaaaa_5555_0f0f_f0f0, 0x1111_2222_3333_4444]);
+            assert!(!tiled.stats().dense, "{width} live slots exceed 9-bit ids");
+            assert!(tiled.num_slots() > DENSE_LIMIT);
+            assert!((tier / 2 + 1..=tier).contains(&tiled.num_slots()));
+        }
 
         let small = Program::new(1, vec![Op::Input(0), Op::Not(0)], vec![1]);
         let tiled_small = TiledKernel::lower(&CompiledKernel::lower(&small));

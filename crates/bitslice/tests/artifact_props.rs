@@ -13,9 +13,8 @@ use proptest::prelude::*;
 
 fn build_artifact(seed: u64, num_inputs: u32, len: usize, meta: Vec<u8>) -> KernelArtifact {
     let program = build_program(seed, num_inputs, len);
-    let kernel = CompiledKernel::lower(&program);
-    let tiled = TiledKernel::lower(&kernel);
-    KernelArtifact::new(seed ^ 0xa5a5, program, kernel, tiled, meta)
+    let tiled = TiledKernel::lower(&CompiledKernel::lower(&program));
+    KernelArtifact::new(seed ^ 0xa5a5, program, tiled, meta)
 }
 
 proptest! {

@@ -283,16 +283,22 @@ impl SamplerBuilder {
 
         // Stage 5: CompiledKernel — the optimizing lowering. It is an IR,
         // not an engine: its probe is the tiled stage's, which executes
-        // exactly this instruction list.
+        // exactly this instruction list, and it is dropped once tiled.
         let t = Instant::now();
         let kernel = CompiledKernel::lower(&program);
         let kernel_fp = kernel_fingerprint(program_fp, &kernel);
         trace.push(SynthStage::CompiledKernel, kernel_fp, t.elapsed(), true);
 
-        // Stage 6: TiledKernel — superinstruction re-lowering.
+        // Stage 6: TiledKernel — superinstruction re-lowering. The tile
+        // stream must decode back to exactly the compiled instruction
+        // list, which gates the `CompiledKernel` stage too.
         let t = Instant::now();
         let tiled = TiledKernel::lower(&kernel);
-        probe_tiled(&tiled, &kernel, &program)?;
+        if tiled.micro_instrs() != kernel.instrs() {
+            return Err(BuildError::StageInvariant(SynthStage::TiledKernel));
+        }
+        drop(kernel);
+        probe_tiled(&tiled, &program)?;
         let tiled_fp = tiled_fingerprint(kernel_fp, &tiled);
         trace.push(SynthStage::TiledKernel, tiled_fp, t.elapsed(), true);
 
@@ -305,7 +311,7 @@ impl SamplerBuilder {
             gates: program.gate_count(),
             ops: program.ops().len(),
         };
-        let sampler = CtSampler::from_parts(program, kernel, tiled, matrix, report);
+        let sampler = CtSampler::from_parts(program, tiled, matrix, report);
         for rec in &trace.stages {
             crate::metrics::record_stage(rec.stage, rec.duration);
         }
@@ -385,18 +391,10 @@ pub(crate) fn probe_program(
     Ok(())
 }
 
-/// `TiledKernel` invariant, which also gates the `CompiledKernel` stage:
-/// the tile stream decodes back to exactly the compiled instruction list,
-/// and execution is bit-equivalent to the source program's interpreter on
-/// the fixed probe batch.
-pub(crate) fn probe_tiled(
-    tiled: &TiledKernel,
-    kernel: &CompiledKernel,
-    program: &Program,
-) -> Result<(), BuildError> {
-    if tiled.micro_instrs() != kernel.instrs() {
-        return Err(BuildError::StageInvariant(SynthStage::TiledKernel));
-    }
+/// `TiledKernel` invariant: execution is bit-equivalent to the source
+/// program's interpreter on the fixed probe batch. Run on every fresh
+/// build and on every cache load.
+pub(crate) fn probe_tiled(tiled: &TiledKernel, program: &Program) -> Result<(), BuildError> {
     let inputs = probe_inputs(program.num_inputs());
     if tiled.run(&inputs) != interpret(program, &inputs) {
         return Err(BuildError::StageInvariant(SynthStage::TiledKernel));

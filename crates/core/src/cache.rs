@@ -344,7 +344,7 @@ fn validate_and_probe(
     let tables_time = tables_start.elapsed();
     crate::metrics::record_stage(SynthStage::ProbTables, tables_time);
 
-    let (_, program, kernel, tiled, _) = artifact.into_parts();
+    let (_, program, tiled, _) = artifact.into_parts();
 
     // Shape gates against *this* spec's tables, then the same probe-batch
     // equivalence checks the fresh pipeline runs — anchored at the
@@ -352,12 +352,12 @@ fn validate_and_probe(
     // distribution cannot execute.
     if program.num_inputs() != matrix.precision()
         || program.outputs().len() != matrix.sample_bits() as usize
-        || kernel.num_outputs() > crate::sampler::MAX_SAMPLE_BITS
+        || tiled.num_outputs() > crate::sampler::MAX_SAMPLE_BITS
     {
         return None;
     }
     probe_program(&program, &matrix).ok()?;
-    probe_tiled(&tiled, &kernel, &program).ok()?;
+    probe_tiled(&tiled, &program).ok()?;
 
     let mut trace = BuildTrace::new(CacheDisposition::Hit);
     for (i, stage) in SynthStage::ALL.into_iter().enumerate() {
@@ -375,7 +375,7 @@ fn validate_and_probe(
         trace.push(stage, stage_fps[i], duration, ran);
     }
 
-    let sampler = CtSampler::from_parts(program, kernel, tiled, matrix, report);
+    let sampler = CtSampler::from_parts(program, tiled, matrix, report);
     Some((sampler, trace))
 }
 
@@ -391,15 +391,9 @@ pub(crate) fn store_sampler(
         return false;
     }
     let meta = encode_meta(trace, sampler.report());
-    // The borrowing encoder: the sampler keeps its kernels, nothing is
+    // The borrowing encoder: the sampler keeps its kernel, nothing is
     // cloned for the write-back.
-    let bytes = artifact::encode(
-        spec_fp,
-        sampler.program(),
-        sampler.kernel(),
-        sampler.tiled_kernel(),
-        &meta,
-    );
+    let bytes = artifact::encode(spec_fp, sampler.program(), sampler.tiled_kernel(), &meta);
     cache.store_bytes(spec_fp, &bytes).is_ok()
 }
 
@@ -407,6 +401,7 @@ pub(crate) fn store_sampler(
 mod tests {
     use super::*;
     use crate::SamplerSpec;
+    use ctgauss_bitslice::artifact::ArtifactError;
     use ctgauss_prng::ChaChaRng;
 
     /// A fresh, unique cache directory for one test.
@@ -443,7 +438,7 @@ mod tests {
         ] {
             assert!(!warm_trace.ran(stage), "{stage} must be served from cache");
         }
-        // Same fingerprints, same kernels, bit-identical streams.
+        // Same fingerprints, same kernel, bit-identical streams.
         assert_eq!(
             cold_trace
                 .stages
@@ -457,7 +452,6 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         assert_eq!(warm.program(), cold.program());
-        assert_eq!(warm.kernel(), cold.kernel());
         assert_eq!(warm.tiled_kernel(), cold.tiled_kernel());
         assert_eq!(stream(&warm, 7), stream(&cold, 7));
         // The warm report survives serialization intact.
@@ -496,6 +490,45 @@ mod tests {
         assert_eq!(trace.cache, CacheDisposition::Miss { stored: true });
         assert_eq!(stream(&rebuilt, 3), stream(&cold, 3));
         // The rebuild healed the entry: next start is warm again.
+        let (_, trace) = spec.build_shared_with(&cache).unwrap();
+        assert_eq!(trace.cache, CacheDisposition::Hit);
+        let _ = fs::remove_dir_all(cache.dir().unwrap());
+    }
+
+    /// An entry of an older artifact format never executes: relabelled
+    /// as version 1 and re-sealed so only the version gate can reject
+    /// it, it misses, the rebuild is bit-identical, and the rewritten
+    /// entry is version 2 and loads warm.
+    #[test]
+    fn stale_version_entry_falls_back_to_synthesis_and_heals() {
+        let cache = scratch_cache("stale-version");
+        let spec = SamplerSpec::new("2", 12);
+        let (cold, _) = spec.build_shared_with(&cache).unwrap();
+
+        let path = cache.entry_path(spec.fingerprint()).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        // Re-seal: FNV-1a over the header before the checksum field and
+        // the payload.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in bytes[..28].iter().chain(&bytes[36..]) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        bytes[28..36].copy_from_slice(&h.to_le_bytes());
+        assert_eq!(
+            KernelArtifact::from_bytes(&bytes),
+            Err(ArtifactError::BadVersion(1))
+        );
+        fs::write(&path, &bytes).unwrap();
+
+        let (rebuilt, trace) = spec.build_shared_with(&cache).unwrap();
+        assert_eq!(trace.cache, CacheDisposition::Miss { stored: true });
+        assert!(trace.ran(SynthStage::MinimizedSop));
+        assert_eq!(rebuilt.tiled_kernel(), cold.tiled_kernel());
+        assert_eq!(stream(&rebuilt, 11), stream(&cold, 11));
+
+        let healed = fs::read(&path).unwrap();
+        assert_eq!(healed[8..12], 2u32.to_le_bytes());
         let (_, trace) = spec.build_shared_with(&cache).unwrap();
         assert_eq!(trace.cache, CacheDisposition::Hit);
         let _ = fs::remove_dir_all(cache.dir().unwrap());

@@ -21,11 +21,12 @@
 //! The resulting [`CtSampler`] produces 64 samples per batch from `n + 1`
 //! random words (`n` bit positions plus the sign), in constant time by
 //! construction. At build time the straight-line program is additionally
-//! lowered to a fused, register-allocated
-//! [`CompiledKernel`](ctgauss_bitslice::CompiledKernel) and tiled into a
-//! [`TiledKernel`](ctgauss_bitslice::TiledKernel) — the execution engine
-//! behind every sampling API, with the interpreter retained as the
-//! reference oracle ([`CtSampler::run_batch_reference`]).
+//! lowered through the fused, register-allocated
+//! [`CompiledKernel`](ctgauss_bitslice::CompiledKernel) IR into a
+//! [`TiledKernel`](ctgauss_bitslice::TiledKernel), the only lowered form
+//! the sampler keeps — the execution engine behind every sampling API,
+//! with the interpreter retained as the reference oracle
+//! ([`CtSampler::run_batch_reference`]).
 //!
 //! The prior work's "simple minimization" (\[21\], the Table 2 baseline) is
 //! available as [`Strategy::Simple`]: one heuristic minimization of the

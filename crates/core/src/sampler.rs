@@ -1,8 +1,6 @@
 //! The compiled constant-time sampler.
 
-use ctgauss_bitslice::{
-    audit, audit_tiled, interpret, AuditReport, Backend, CompiledKernel, Program, TiledKernel,
-};
+use ctgauss_bitslice::{audit, audit_tiled, interpret, AuditReport, Backend, Program, TiledKernel};
 use ctgauss_knuthyao::ProbabilityMatrix;
 use ctgauss_prng::RandomSource;
 
@@ -30,15 +28,15 @@ pub(crate) const MAX_SAMPLE_BITS: usize = 31;
 /// program, so the time and memory-access pattern are independent of the
 /// sampled values.
 ///
-/// At build time the straight-line SSA program is lowered once to a
-/// [`CompiledKernel`] (dead-code elimination, op fusion, GVN/CSE, list
-/// scheduling, register allocation) and then re-lowered to a
-/// [`TiledKernel`] (superinstruction tiles: one dispatch per 2–4-op
-/// pattern instead of one per op); every sampling API executes the tiled
-/// kernel. The compiled kernel is kept as the lowering IR the tiles were
-/// cut from, not as an engine. Two engines remain: the tiled kernel, and
-/// the interpreter behind
-/// [`run_batch_reference`](Self::run_batch_reference) as its bit-exact
+/// At build time the straight-line SSA program is lowered once through
+/// the [`CompiledKernel`](ctgauss_bitslice::CompiledKernel) IR (dead-code
+/// elimination, op fusion, GVN/CSE, list scheduling, register allocation)
+/// into a [`TiledKernel`] (superinstruction tiles: one dispatch per
+/// 2–4-op pattern instead of one per op), and only the tiled kernel is
+/// kept. Every sampling API executes it — the scalar batch APIs over
+/// `u64`, the wide and bulk APIs through one backend-dispatched lane path
+/// ([`Backend::run_tiled`]). The interpreter behind
+/// [`run_batch_reference`](Self::run_batch_reference) is its bit-exact
 /// oracle.
 ///
 /// # Randomness draw order
@@ -78,7 +76,6 @@ pub(crate) const MAX_SAMPLE_BITS: usize = 31;
 #[derive(Debug, Clone)]
 pub struct CtSampler {
     program: Program,
-    kernel: CompiledKernel,
     tiled: TiledKernel,
     matrix: ProbabilityMatrix,
     report: BuildReport,
@@ -90,54 +87,23 @@ pub struct CtSampler {
     backend: Backend,
 }
 
-/// Caller-reusable scratch for the zero-allocation batch APIs
-/// ([`CtSampler::sample_batch_with`]), generic over the lane-block width
-/// `W` (64 × `W` samples per batch).
+/// Caller-reusable scratch for [`CtSampler::sample_batch_with`] at the
+/// compile-time lane width `W` (64 × `W` samples per batch): a
+/// [`LaneScratch`] on the backend the sampler runs width `W` on.
 ///
 /// Create with [`CtSampler::scratch`]; reuse across batches — buffers are
-/// (re)sized on first use and then never reallocate for the same sampler.
+/// sized at creation and never reallocate for the same sampler.
 #[derive(Debug, Clone)]
-pub struct BatchScratch<const W: usize> {
-    /// Flat randomness buffer: `W` consecutive `(n + 1)`-word batch records.
-    draw: Vec<u64>,
-    /// De-interleaved kernel inputs: `inputs[i][w]` is bit-plane word `i`
-    /// of record `w`.
-    inputs: Vec<[u64; W]>,
-    /// Kernel slot array.
-    slots: Vec<[u64; W]>,
-    /// Kernel outputs (sample bit planes).
-    words: Vec<[u64; W]>,
-}
-
-impl<const W: usize> BatchScratch<W> {
-    fn empty() -> Self {
-        BatchScratch {
-            draw: Vec::new(),
-            inputs: Vec::new(),
-            slots: Vec::new(),
-            words: Vec::new(),
-        }
-    }
-
-    /// Sizes every buffer for `sampler` (no-op when already sized).
-    fn fit(&mut self, sampler: &CtSampler) {
-        let n = sampler.program.num_inputs() as usize;
-        self.draw.resize((n + 1) * W, 0);
-        self.inputs.resize(n, [0; W]);
-        self.slots.resize(sampler.tiled.num_slots(), [0; W]);
-        self.words.resize(sampler.tiled.num_outputs(), [0; W]);
-    }
-}
+pub struct BatchScratch<const W: usize>(LaneScratch);
 
 /// Caller-reusable scratch for the backend-dispatched batch API
-/// ([`CtSampler::sample_batch_lanes`]): like [`BatchScratch`], but the
-/// lane width is a runtime property of the chosen [`Backend`] instead of
-/// a const generic, so one call site serves every backend.
+/// ([`CtSampler::sample_batch_lanes`]), the engine behind every wide and
+/// bulk API: the lane width is a runtime property of the chosen
+/// [`Backend`], so one call site serves every backend.
 ///
 /// Buffers are planar and input-major (`buf[i * width + w]` is machine
-/// word `w` of plane `i`) — byte-identical to the `[[u64; W]]` layout of
-/// the const-generic paths. Create with [`CtSampler::lane_scratch`];
-/// reuse across batches.
+/// word `w` of plane `i`) — byte-identical to a `[[u64; W]]` layout.
+/// Create with [`CtSampler::lane_scratch_for`]; reuse across batches.
 #[derive(Debug, Clone)]
 pub struct LaneScratch {
     backend: Backend,
@@ -150,11 +116,6 @@ pub struct LaneScratch {
 }
 
 impl LaneScratch {
-    /// The backend this scratch dispatches to.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
     /// Lane width in `u64` words (`64 * width()` samples per batch).
     pub fn width(&self) -> usize {
         self.backend.width()
@@ -174,22 +135,20 @@ impl CtSampler {
     /// Assembles a sampler from the staged pipeline's products — freshly
     /// synthesized by [`SamplerBuilder::build`](crate::SamplerBuilder) or
     /// deserialized from a validated cache artifact. Both paths hand in
-    /// the same (program, kernel, tiled) triple, which the builder's
-    /// probe checks / the artifact loader have already proven coherent.
+    /// the same (program, tiled) pair, which the builder's probe checks /
+    /// the artifact loader have already proven coherent.
     pub(crate) fn from_parts(
         program: Program,
-        kernel: CompiledKernel,
         tiled: TiledKernel,
         matrix: ProbabilityMatrix,
         report: BuildReport,
     ) -> Self {
         assert!(
-            kernel.num_outputs() <= MAX_SAMPLE_BITS,
+            tiled.num_outputs() <= MAX_SAMPLE_BITS,
             "sample magnitude exceeds {MAX_SAMPLE_BITS} bits"
         );
         CtSampler {
             program,
-            kernel,
             tiled,
             matrix,
             report,
@@ -225,18 +184,10 @@ impl CtSampler {
         &self.program
     }
 
-    /// The optimizing-lowered kernel IR: fused opcodes,
-    /// register-allocated slots ([`CompiledKernel::stats`] reports what
-    /// lowering did). Not executed; execution goes through
-    /// [`tiled_kernel`](Self::tiled_kernel), which re-encodes exactly this
-    /// instruction list.
-    pub fn kernel(&self) -> &CompiledKernel {
-        &self.kernel
-    }
-
-    /// The superinstruction-threaded production engine: the compiled
-    /// kernel's instruction stream grouped into tiles dispatched once
-    /// each ([`TiledKernel::stats`] reports the dispatch reduction).
+    /// The superinstruction-threaded production engine: the lowered
+    /// instruction stream (fused opcodes, register-allocated slots)
+    /// grouped into tiles dispatched once each ([`TiledKernel::stats`]
+    /// reports the dispatch reduction).
     pub fn tiled_kernel(&self) -> &TiledKernel {
         &self.tiled
     }
@@ -277,23 +228,33 @@ impl CtSampler {
         audit_tiled(&self.tiled)
     }
 
-    /// Creates reusable scratch for the `_with` batch APIs at lane-block
-    /// width `W`.
+    /// Creates reusable scratch for
+    /// [`sample_batch_with`](Self::sample_batch_with) at lane width `W`,
+    /// on the backend this sampler runs `W`-word batches on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `W` is 1, 2, 4 or 8.
     pub fn scratch<const W: usize>(&self) -> BatchScratch<W> {
-        let mut s = BatchScratch::empty();
-        s.fit(self);
-        s
+        BatchScratch(self.lane_scratch_for(self.backend_for_width(W)))
     }
 
-    /// Creates reusable scratch for [`sample_batch_lanes`](Self::sample_batch_lanes)
-    /// on this sampler's selected [`backend`](Self::backend).
-    pub fn lane_scratch(&self) -> LaneScratch {
-        self.lane_scratch_for(self.backend)
+    /// The backend a `width`-word batch runs on: this sampler's own
+    /// [`backend`](Self::backend) when its width is `width`, else
+    /// [`Backend::select_for_width`] (which panics unless `width` is 1,
+    /// 2, 4 or 8).
+    fn backend_for_width(&self, width: usize) -> Backend {
+        if width == self.backend.width() {
+            self.backend
+        } else {
+            Backend::select_for_width(width)
+        }
     }
 
-    /// Creates reusable scratch dispatching to an explicit backend — the
-    /// hook the cross-width differential tests use to pin every backend
-    /// to the scalar stream.
+    /// Creates reusable scratch for
+    /// [`sample_batch_lanes`](Self::sample_batch_lanes) on an explicit
+    /// backend — the pool's workers and the cross-width differential
+    /// tests pin their backend this way.
     ///
     /// # Panics
     ///
@@ -364,17 +325,15 @@ impl CtSampler {
     }
 
     /// Generates `64 * W` signed samples into `out` through caller-owned
-    /// scratch — the zero-allocation engine behind the wide and bulk APIs.
-    ///
-    /// Draws `W` consecutive batch records in one [`RandomSource::fill_u64s`]
-    /// call and executes the kernel once over `W`-wide lane words (the
-    /// fixed-size array ops auto-vectorize), so the result equals `W`
-    /// consecutive [`sample_batch`](Self::sample_batch) calls on the same
-    /// generator.
+    /// scratch — [`sample_batch_lanes`](Self::sample_batch_lanes) at the
+    /// compile-time width `W`, on the backend [`scratch`](Self::scratch)
+    /// picked. The result equals `W` consecutive
+    /// [`sample_batch`](Self::sample_batch) calls on the same generator.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != 64 * W`.
+    /// Panics if `out.len() != 64 * W`. `W` is 1, 2, 4 or 8: a
+    /// [`BatchScratch`] of any other width cannot be created.
     pub fn sample_batch_with<const W: usize, R: RandomSource>(
         &self,
         rng: &mut R,
@@ -382,35 +341,14 @@ impl CtSampler {
         out: &mut [i32],
     ) {
         assert_eq!(out.len(), 64 * W, "output slice must hold 64 * W samples");
-        let n = self.program.num_inputs() as usize;
-        scratch.fit(self);
-        rng.fill_u64s(&mut scratch.draw);
-        // De-interleave the W batch records into W-wide lane words.
-        let mut signs = [0u64; W];
-        for w in 0..W {
-            let record = &scratch.draw[w * (n + 1)..(w + 1) * (n + 1)];
-            for (i, input) in scratch.inputs.iter_mut().enumerate() {
-                input[w] = record[i];
-            }
-            signs[w] = record[n];
-        }
-        self.tiled
-            .execute(&scratch.inputs, &mut scratch.slots, &mut scratch.words);
-        for w in 0..W {
-            let mut lanes = [0i32; 64];
-            let mut plane = [0u64; MAX_SAMPLE_BITS];
-            for (iota, word) in scratch.words.iter().enumerate() {
-                plane[iota] = word[w];
-            }
-            decode_lanes(&plane[..scratch.words.len()], signs[w], &mut lanes);
-            out[64 * w..64 * (w + 1)].copy_from_slice(&lanes);
-        }
+        self.sample_batch_lanes(rng, &mut scratch.0, out);
     }
 
     /// Generates `64 * width` signed samples through the scratch's SIMD
-    /// backend — the backend-dispatched sibling of
-    /// [`sample_batch_with`](Self::sample_batch_with), and the engine
-    /// behind [`sample_into`](Self::sample_into).
+    /// backend — the one engine behind
+    /// [`sample_batch_with`](Self::sample_batch_with),
+    /// [`sample_batch_wide`](Self::sample_batch_wide) and
+    /// [`sample_into`](Self::sample_into).
     ///
     /// Draws `width` consecutive batch records in one
     /// [`RandomSource::fill_u64s`] call and executes the tiled kernel once
@@ -495,14 +433,17 @@ impl CtSampler {
     /// Generates `64 * W` signed samples in one kernel pass.
     ///
     /// One instruction dispatch performs `W` word operations, so wider
-    /// batches amortize dispatch overhead (the sweet spot on machines with
-    /// 256-bit vector units is `W = 4`). Equals `W` consecutive
+    /// batches amortize dispatch overhead. Equals `W` consecutive
     /// [`sample_batch`](Self::sample_batch) calls on the same generator
     /// (see the draw-order contract in the type docs).
     ///
     /// Convenience wrapper that allocates its scratch and output; steady-
     /// state consumers should hold a [`BatchScratch`] and call
     /// [`sample_batch_with`](Self::sample_batch_with).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `W` is 1, 2, 4 or 8.
     pub fn sample_batch_wide<const W: usize, R: RandomSource>(&self, rng: &mut R) -> Vec<i32> {
         let mut out = vec![0i32; 64 * W];
         self.sample_batch_with(rng, &mut self.scratch::<W>(), &mut out);
@@ -527,12 +468,7 @@ impl CtSampler {
         while width > 1 {
             let span = 64 * width;
             if out.len() - filled >= span {
-                let backend = if width == self.backend.width() {
-                    self.backend
-                } else {
-                    Backend::select_for_width(width)
-                };
-                let mut scratch = self.lane_scratch_for(backend);
+                let mut scratch = self.lane_scratch_for(self.backend_for_width(width));
                 while out.len() - filled >= span {
                     self.sample_batch_lanes(rng, &mut scratch, &mut out[filled..filled + span]);
                     filled += span;
@@ -601,6 +537,7 @@ impl SampleStream<'_> {
 mod tests {
     use super::*;
     use crate::{SamplerBuilder, Strategy};
+    use ctgauss_bitslice::CompiledKernel;
     use ctgauss_knuthyao::{enumerate_leaves, ColumnScanSampler};
     use ctgauss_prng::{ChaChaRng, SplitMix64};
 
@@ -702,9 +639,10 @@ mod tests {
         let sampler = SamplerBuilder::new("2", 24).build().unwrap();
         let tiled = sampler.tiled_kernel();
         let stats = tiled.stats();
-        // Tiling is a pure re-encoding of the compiled kernel...
-        assert_eq!(tiled.micro_instrs(), sampler.kernel().instrs());
-        assert_eq!(stats.micro_ops, sampler.kernel().instrs().len());
+        // Tiling is a pure re-encoding of the (deterministic) lowering...
+        let kernel = CompiledKernel::lower(sampler.program());
+        assert_eq!(tiled.micro_instrs(), kernel.instrs());
+        assert_eq!(stats.micro_ops, kernel.instrs().len());
         // ...that fires the dispatch loop >= 3x less often on the
         // And/Or-dominated selector-chain kernels.
         assert!(
@@ -832,28 +770,41 @@ mod tests {
     }
 
     /// The documented draw-order contract makes wide execution
-    /// deterministic relative to scalar batches: `sample_batch_wide::<W>`
-    /// on a fresh generator equals `W` consecutive `sample_batch` calls on
-    /// an identically seeded one.
+    /// deterministic relative to scalar batches: at every lane width,
+    /// `sample_batch_with::<W>` over reused scratch equals `W` consecutive
+    /// `sample_batch` calls on an identically seeded generator, and both
+    /// generators end at the same stream position.
     #[test]
     fn wide_batch_equals_scalar_batches_lane_for_lane() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        for seed in [31, 1234, 999] {
-            let mut rng_wide = ChaChaRng::from_u64_seed(seed);
-            let wide = sampler.sample_batch_wide::<4, _>(&mut rng_wide);
-            assert_eq!(wide.len(), 256);
-            let mut rng_scalar = ChaChaRng::from_u64_seed(seed);
-            for w in 0..4 {
-                let scalar = sampler.sample_batch(&mut rng_scalar);
+        fn check<const W: usize>(sampler: &CtSampler) {
+            let mut scratch = sampler.scratch::<W>();
+            let mut out = vec![0i32; 64 * W];
+            for seed in [31, 1234, 999] {
+                let mut rng_wide = ChaChaRng::from_u64_seed(seed);
+                let mut rng_scalar = ChaChaRng::from_u64_seed(seed);
+                for round in 0..3 {
+                    sampler.sample_batch_with(&mut rng_wide, &mut scratch, &mut out);
+                    for w in 0..W {
+                        let scalar = sampler.sample_batch(&mut rng_scalar);
+                        assert_eq!(
+                            &out[64 * w..64 * (w + 1)],
+                            &scalar[..],
+                            "W {W}, seed {seed}, round {round}, record {w}"
+                        );
+                    }
+                }
                 assert_eq!(
-                    &wide[64 * w..64 * (w + 1)],
-                    &scalar[..],
-                    "seed {seed}, record {w}"
+                    rng_wide.next_u64(),
+                    rng_scalar.next_u64(),
+                    "W {W}, seed {seed}"
                 );
             }
-            // Both generators must end at the same stream position.
-            assert_eq!(rng_wide.next_u64(), rng_scalar.next_u64(), "seed {seed}");
         }
+        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        check::<1>(&sampler);
+        check::<2>(&sampler);
+        check::<4>(&sampler);
+        check::<8>(&sampler);
     }
 
     #[test]
@@ -913,34 +864,19 @@ mod tests {
         }
     }
 
-    /// Reused scratch produces the same stream as the allocating
-    /// convenience API.
-    #[test]
-    fn scratch_reuse_is_equivalent() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        let mut rng_a = ChaChaRng::from_u64_seed(77);
-        let mut rng_b = ChaChaRng::from_u64_seed(77);
-        let mut scratch = sampler.scratch::<2>();
-        let mut out = [0i32; 128];
-        for round in 0..5 {
-            sampler.sample_batch_with(&mut rng_a, &mut scratch, &mut out);
-            let fresh = sampler.sample_batch_wide::<2, _>(&mut rng_b);
-            assert_eq!(&out[..], &fresh[..], "round {round}");
-        }
-    }
-
     #[test]
     fn kernel_is_smaller_than_program() {
         // The lowering must actually compact the hot loop: fewer (or equal)
         // executed instructions than source ops, and a slot file much
         // smaller than the SSA register file.
         let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        let stats = sampler.kernel().stats();
+        let kernel = CompiledKernel::lower(sampler.program());
+        let stats = kernel.stats();
         assert!(stats.instrs <= stats.source_ops);
         assert!(
-            sampler.kernel().num_slots() < sampler.program().ops().len() / 2,
+            kernel.num_slots() < sampler.program().ops().len() / 2,
             "slots {} vs ops {}",
-            sampler.kernel().num_slots(),
+            kernel.num_slots(),
             sampler.program().ops().len()
         );
     }

@@ -22,9 +22,10 @@
 //! Every pass after `ProbTables` also re-checks itself against an oracle
 //! on a fixed probe batch before the pipeline continues (bit-equivalence;
 //! see [`BuildError::StageInvariant`](crate::BuildError)). The one
-//! exception is `CompiledKernel`, a lowering IR that never executes: the
-//! `TiledKernel` probe covers it by checking that the tiles re-encode its
-//! exact instruction list and run bit-equal to the `Program` interpreter.
+//! exception is `CompiledKernel`, a lowering IR that never executes and
+//! is dropped once tiled: the `TiledKernel` stage covers it by checking
+//! that the tiles re-encode its exact instruction list and run bit-equal
+//! to the `Program` interpreter.
 
 use core::fmt;
 use std::time::Duration;

@@ -16,14 +16,14 @@ fn base_params() -> GaussianParams {
 }
 
 /// Lane-block width of the signing path's batches: 8 × 64 samples per
-/// compiled-kernel pass.
+/// tiled-kernel pass, run on the widest available 8-word backend.
 const WIDE: usize = 8;
 
 /// "This work": the constant-time bitsliced Knuth-Yao sampler, consumed
-/// through its wide (8 x 64 lanes) batch interface. The compiled-kernel
-/// scratch and the sample buffer are allocated once at construction and
-/// reused for every refill, so steady-state signing performs no heap
-/// allocation in the sampling path.
+/// through its wide (8 x 64 lanes) batch interface. The lane scratch and
+/// the sample buffer are allocated once at construction and reused for
+/// every refill, so steady-state signing performs no heap allocation in
+/// the sampling path.
 pub struct KnuthYaoCtBase {
     sampler: Arc<CtSampler>,
     rng: ChaChaRng,

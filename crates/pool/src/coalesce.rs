@@ -228,9 +228,10 @@ impl Coalescer {
         completion: Arc<Completion>,
         wait: Wait,
     ) -> Result<u64, PoolError> {
-        let mut st = self.acquire(wait)?;
+        let mut lane = self.acquire(wait)?;
+        let st = lane.state();
         if st.sealed {
-            self.release(st, false);
+            lane.release(false);
             return Err(PoolError::ShuttingDown);
         }
         let seq = st.next_seq;
@@ -245,42 +246,40 @@ impl Coalescer {
                 // First member arms the bucket's deadline.
                 self.flusher_cv.notify_one();
             }
-            self.release(st, true);
+            lane.release(true);
             return Ok(seq);
         }
-        let gang = self.take_gang(&mut st, shard, profile_index);
-        drop(st);
-        let refusal = self.dispatch(gang, wait).err();
-        let mut st = lock_recover(&self.state);
-        match refusal {
-            None => {
-                self.release(st, true);
+        let gang = self.take_gang(st, shard, profile_index);
+        lane.unlock();
+        match self.dispatch(gang, wait) {
+            Ok(()) => {
+                lane.release(true);
                 Ok(seq)
             }
-            Some(Refusal::Closed(gang)) => {
+            Err(Refusal::Closed(gang)) => {
                 gang.refuse();
-                self.release(st, true);
+                lane.release(true);
                 Err(PoolError::WorkerGone)
             }
-            Some(Refusal::Retry(gang, error)) => {
+            Err(Refusal::Retry(gang, error)) => {
                 // Nobody touched the bucket meanwhile (the lane is ours):
                 // put the earlier members back and drop this one.
                 let mut members = gang.into_members();
                 members.pop().expect("own member is last").defuse();
                 if !members.is_empty() {
-                    let bucket = st.bucket(shard, profile_index);
+                    let bucket = lane.state().bucket(shard, profile_index);
                     bucket.total = members.iter().map(|m| m.count).sum();
                     bucket.members = members;
                     self.flusher_cv.notify_one();
                 }
-                self.release(st, false);
+                lane.release(false);
                 Err(error)
             }
         }
     }
 
     /// Takes the lane. Blocking waits never fail.
-    fn acquire(&self, wait: Wait) -> Result<MutexGuard<'_, StageState>, PoolError> {
+    fn acquire(&self, wait: Wait) -> Result<Lane<'_>, PoolError> {
         let mut st = lock_recover(&self.state);
         while st.held {
             st = match wait {
@@ -295,18 +294,7 @@ impl Coalescer {
                 }
             };
         }
-        st.held = true;
-        Ok(st)
-    }
-
-    /// Releases the lane; `consume` advances the seq counter.
-    fn release(&self, mut st: MutexGuard<'_, StageState>, consume: bool) {
-        if consume {
-            st.next_seq += 1;
-        }
-        st.held = false;
-        drop(st);
-        self.lane_cv.notify_one();
+        Ok(Lane::hold(self, st))
     }
 
     /// Drains one bucket into a gang bound for its shard's ring.
@@ -404,15 +392,16 @@ impl Coalescer {
     /// staging layer is empty forever. Call *before* closing the rings so
     /// the flushed gangs land on live workers.
     pub(crate) fn seal_and_flush(&self) {
-        let mut st = self
+        let mut lane = self
             .acquire(Wait::Block)
             .expect("a blocking acquire never refuses");
+        let st = lane.state();
         st.sealed = true;
-        let gangs = self.take_due(&mut st, None);
-        drop(st);
+        let gangs = self.take_due(st, None);
+        lane.unlock();
         self.flusher_cv.notify_all();
         self.dispatch_all(gangs);
-        self.release(lock_recover(&self.state), false);
+        lane.release(false);
     }
 
     /// Spawns the deadline flusher: wakes when a bucket gains its first
@@ -454,14 +443,105 @@ impl Coalescer {
                     st
                 }
                 Some(_) => {
-                    st.held = true;
-                    let gangs = self.take_due(&mut st, Some(now));
-                    drop(st);
+                    let mut lane = Lane::hold(self, st);
+                    let gangs = self.take_due(lane.state(), Some(now));
+                    lane.unlock();
                     self.dispatch_all(gangs);
-                    self.release(lock_recover(&self.state), false);
+                    lane.release(false);
                     lock_recover(&self.state)
                 }
             };
         }
+    }
+}
+
+/// The held submission lane. Dropping it — on every path, unwinding
+/// included — clears `held` and wakes the next waiter, so a panic
+/// between taking and releasing the lane cannot strand later submitters
+/// or the pool's drop.
+struct Lane<'a> {
+    coalescer: &'a Coalescer,
+    /// The stage lock, while the holder keeps it; `None` while the holder
+    /// waits elsewhere (a push onto a full ring) without giving up the
+    /// lane.
+    st: Option<MutexGuard<'a, StageState>>,
+}
+
+impl<'a> Lane<'a> {
+    /// Marks the lane held under `st`.
+    fn hold(coalescer: &'a Coalescer, mut st: MutexGuard<'a, StageState>) -> Self {
+        debug_assert!(!st.held, "the lane is free when taken");
+        st.held = true;
+        Lane {
+            coalescer,
+            st: Some(st),
+        }
+    }
+
+    /// The staging state, re-taking the stage lock if it was dropped.
+    fn state(&mut self) -> &mut StageState {
+        let coalescer = self.coalescer;
+        self.st
+            .get_or_insert_with(|| lock_recover(&coalescer.state))
+    }
+
+    /// Drops the stage lock but keeps the lane.
+    fn unlock(&mut self) {
+        self.st = None;
+    }
+
+    /// Releases the lane; `consume` advances the seq counter.
+    fn release(mut self, consume: bool) {
+        if consume {
+            self.state().next_seq += 1;
+        }
+    }
+}
+
+impl Drop for Lane<'_> {
+    fn drop(&mut self) {
+        self.state().held = false;
+        self.st = None;
+        self.coalescer.lane_cv.notify_one();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic while the lane is held — the unwind path through a gang
+    /// build or a push — must free the lane. Every wait below is bounded,
+    /// so a stranded lane fails the test instead of hanging it.
+    #[test]
+    fn a_panic_while_holding_the_lane_releases_it() {
+        let coalescer = Coalescer::new(
+            &CoalesceConfig::passthrough(),
+            64,
+            vec![Arc::new(Ring::new(1))],
+            vec![Arc::new(AbandonLog::default())],
+        );
+        // Panic with the stage lock held, then with it dropped (as
+        // while pushing onto a full ring).
+        for unlocked in [false, true] {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut lane = coalescer.acquire(Wait::NonBlock).expect("lane is free");
+                if unlocked {
+                    lane.unlock();
+                }
+                panic!("injected panic inside the lane");
+            }));
+            assert!(unwound.is_err());
+            let lane = coalescer
+                .acquire(Wait::NonBlock)
+                .unwrap_or_else(|e| panic!("unlocked {unlocked}: lane stranded: {e}"));
+            lane.release(false);
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let lane = coalescer
+            .acquire(Wait::Deadline(deadline))
+            .expect("a released lane is free again");
+        drop(lane);
+        assert_eq!(coalescer.submitted(), 0, "an unwound hold consumes no seq");
     }
 }

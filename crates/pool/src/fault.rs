@@ -178,8 +178,8 @@ impl FaultPlan {
         self
     }
 
-    /// Adds `n` kernel-cache load failures (armed thread-locally at
-    /// [`arm_cache_load_failures`](Self::arm_cache_load_failures) time).
+    /// Adds `n` kernel-cache load failures (armed thread-locally when the
+    /// plan is handed to [`PoolBuilder::faults`](crate::PoolBuilder::faults)).
     #[must_use]
     pub fn fail_cache_loads(mut self, n: u64) -> Self {
         self.cache_load_failures += n;
@@ -202,11 +202,11 @@ impl FaultPlan {
     }
 
     /// Arms the plan's cache-load failures on the **calling thread** (see
-    /// [`ctgauss_core::inject_load_failures`]) — call before building the
-    /// profiles whose loads should fail. Worker faults are armed
-    /// separately, by handing the plan to
-    /// [`PoolBuilder::faults`](crate::PoolBuilder::faults).
-    pub fn arm_cache_load_failures(&self) {
+    /// [`ctgauss_core::inject_load_failures`]). Only
+    /// [`PoolBuilder::faults`](crate::PoolBuilder::faults) calls this, so
+    /// a plan is armed exactly once: hand it to the builder before
+    /// building the profiles whose loads should fail.
+    pub(crate) fn arm_cache_load_failures(&self) {
         if self.cache_load_failures > 0 {
             ctgauss_core::inject_load_failures(self.cache_load_failures);
         }

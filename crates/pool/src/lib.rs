@@ -11,7 +11,7 @@
 //!   handle (an `Arc<CtSampler>` shared via
 //!   [`SamplerSpec::build_shared`](ctgauss_core::SamplerSpec) — the
 //!   Figure-4 pipeline runs once, not once per worker), reusable
-//!   `BatchScratch`, and one independent PRNG stream per profile, forked
+//!   `LaneScratch`, and one independent PRNG stream per profile, forked
 //!   from one [`SeedTree`](ctgauss_prng::SeedTree) by (worker, profile).
 //! * Requests ([`SampleRequest`]: sigma-profile id + count) pass one
 //!   submission lane that assigns sequence numbers; request `seq` goes

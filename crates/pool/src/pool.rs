@@ -18,11 +18,12 @@ use crate::ring::{lock_recover, wait_recover, wait_timeout_recover, Ring};
 use crate::supervisor::{DeathNotice, Event, RestartPolicy, Supervisor, SupervisorShared};
 use crate::worker::{spawn_worker, Job, WorkerContext, WorkerStats};
 
-/// Lane-block width each worker executes the compiled kernel at:
+/// Lane-block width each worker executes the tiled kernel at:
 /// `64 * lanes()` samples per kernel pass.
 ///
-/// The width is a runtime choice (the scratch type is const-generic, so
-/// the pool dispatches to a monomorphized worker loop per variant). By
+/// The width is a runtime choice: each worker runs the sampler's lane
+/// path on the preferred backend of that width
+/// ([`Backend::select_for_width`](ctgauss_core::Backend::select_for_width)). By
 /// the draw-order contract every width produces the *same* per-worker
 /// sample stream; the width only trades dispatch amortization against
 /// tail-batch latency.
@@ -379,8 +380,10 @@ impl PoolBuilder {
 
     /// Arms a [`FaultPlan`] (default: none). Worker faults arm when
     /// [`spawn`](Self::spawn) runs; cache-load failures arm **now, on
-    /// the calling thread**, so that subsequent
-    /// [`profile`](Self::profile) builds on this builder hit them.
+    /// the calling thread**, so the cache-enabled kernel builds that
+    /// follow on this thread — [`profile`](Self::profile) or
+    /// `SamplerSpec::build_shared` — hit them. Hand the plan over before
+    /// building the profiles; this is the only place a plan is armed.
     #[must_use]
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         plan.arm_cache_load_failures();

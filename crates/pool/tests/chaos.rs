@@ -338,16 +338,18 @@ fn fault_spec_string_drives_the_same_plan_as_the_builder() {
 fn long_tail_chaos_runs_replay_from_their_failure_logs() {
     let seed = 7;
     let trace = common::long_tail_trace(1, 2000);
-    let builtin = FaultPlan::parse(DEFAULT_CHAOS_SPEC).expect("built-in spec parses");
-    // The cache-load clause arms on this thread before the kernels are
-    // built, so with the kernel cache enabled the first load fails and
-    // the build falls back to synthesis.
-    builtin.arm_cache_load_failures();
+    // Handing the plan to a builder arms its cache-load clause on this
+    // thread, once, before the kernels are built: with the kernel cache
+    // enabled the first load fails and the build falls back to synthesis.
+    let builtin =
+        Pool::builder().faults(FaultPlan::parse(DEFAULT_CHAOS_SPEC).expect("built-in spec parses"));
     let profiles = common::long_tail_profiles();
-    let env_spec = FaultPlan::parse("panic@w1.req25;panic@w1.req90;stall@w0.req50:15ms")
-        .expect("env spec parses");
-    for (plan, threads) in [(builtin, 4), (env_spec, 2)] {
-        let (live, failures) = common::run_long_tail(&profiles, threads, seed, plan, &trace);
+    let env_spec = Pool::builder().faults(
+        FaultPlan::parse("panic@w1.req25;panic@w1.req90;stall@w0.req50:15ms")
+            .expect("env spec parses"),
+    );
+    for (builder, threads) in [(builtin, 4), (env_spec, 2)] {
+        let (live, failures) = common::run_long_tail(&profiles, threads, seed, builder, &trace);
         // Both plans panic a worker below their thread count.
         assert!(!failures.is_empty(), "threads {threads}: no worker died");
         let offline = replay(

@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use ctgauss_core::{CtSampler, SamplerSpec};
 use ctgauss_pool::{
-    submit_with_retry, FailureEvent, FaultPlan, LaneWidth, Pool, PoolError, RetryPolicy,
-    SampleRequest, TraceEntry, WaitError,
+    submit_with_retry, FailureEvent, LaneWidth, PoolBuilder, PoolError, RetryPolicy, SampleRequest,
+    TraceEntry, WaitError,
 };
 use ctgauss_prng::{RandomSource, SplitMix64};
 
@@ -46,7 +46,8 @@ pub(crate) fn long_tail_trace(seed: u64, len: usize) -> Vec<TraceEntry> {
         .collect()
 }
 
-/// Runs `trace` under `plan` on `threads` W4 shards. Every request goes
+/// Runs `trace` on `threads` W4 shards of a pool from `builder`, which
+/// carries the run's fault plan, if any. Every request goes
 /// through the bounded retry path before any ticket is waited, and every
 /// wait is bounded. Returns the responses in trace order (`None` where
 /// the pool answered `WorkerGone`) and the complete failure log, after
@@ -57,15 +58,14 @@ pub(crate) fn run_long_tail(
     profiles: &[Arc<CtSampler>],
     threads: usize,
     seed: u64,
-    plan: FaultPlan,
+    builder: PoolBuilder,
     trace: &[TraceEntry],
 ) -> (Vec<Option<Vec<i32>>>, Vec<FailureEvent>) {
-    let mut builder = Pool::builder()
+    let mut builder = builder
         .threads(threads)
         .width(LaneWidth::W4)
         .queue_capacity(1024)
-        .seed_u64(seed)
-        .faults(plan);
+        .seed_u64(seed);
     let ids: Vec<_> = profiles
         .iter()
         .map(|sampler| builder.shared_profile(Arc::clone(sampler)))

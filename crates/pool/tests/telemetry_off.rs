@@ -5,7 +5,7 @@
 
 mod common;
 
-use ctgauss_pool::{replay, FaultPlan, LaneWidth};
+use ctgauss_pool::{replay, LaneWidth, Pool};
 use ctgauss_prng::SeedTree;
 
 #[test]
@@ -14,9 +14,9 @@ fn telemetry_off_runs_are_bit_identical_to_telemetry_on_runs() {
     let profiles = common::long_tail_profiles();
     let trace = common::long_tail_trace(1, 2000);
     for threads in [1, 4] {
-        let (on, _) = common::run_long_tail(&profiles, threads, seed, FaultPlan::new(), &trace);
+        let (on, _) = common::run_long_tail(&profiles, threads, seed, Pool::builder(), &trace);
         ctgauss_telemetry::set_enabled(false);
-        let (off, _) = common::run_long_tail(&profiles, threads, seed, FaultPlan::new(), &trace);
+        let (off, _) = common::run_long_tail(&profiles, threads, seed, Pool::builder(), &trace);
         ctgauss_telemetry::set_enabled(true);
         assert!(
             on.iter().all(Option::is_some),

@@ -29,7 +29,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ctgauss_pool::{FaultPlan, LaneWidth, Pool, DEFAULT_CHAOS_SPEC, FAULTS_ENV};
+use ctgauss_core::CtSampler;
+use ctgauss_pool::{FaultPlan, LaneWidth, Pool, ProfileId, DEFAULT_CHAOS_SPEC, FAULTS_ENV};
 use ctgauss_rpc_client::harness::build_standard_profiles;
 use ctgauss_rpc_server::{Server, ServerConfig};
 
@@ -42,6 +43,35 @@ fn usage() -> ExitCode {
        chaos SPEC as for `FaultPlan::parse`, defaulting to ${FAULTS_ENV} or a built-in plan"
     );
     ExitCode::from(2)
+}
+
+/// Builds the pool the server fronts. The fault plan goes to the builder
+/// *before* the profiles are built: [`PoolBuilder::faults`] arms the
+/// plan's cache-load failures on this thread, once, so the profile
+/// builds meet exactly those failures and fall back to synthesis instead
+/// of leaving them pending for a later build.
+///
+/// [`PoolBuilder::faults`]: ctgauss_pool::PoolBuilder::faults
+fn start_pool(
+    faults: Option<FaultPlan>,
+    build_profiles: impl FnOnce() -> Vec<Arc<CtSampler>>,
+    threads: usize,
+    width: LaneWidth,
+    seed: u64,
+) -> (Pool, Vec<ProfileId>) {
+    let mut builder = Pool::builder()
+        .threads(threads)
+        .width(width)
+        .queue_capacity(1024)
+        .seed_u64(seed);
+    if let Some(plan) = faults {
+        builder = builder.faults(plan);
+    }
+    let profile_ids = build_profiles()
+        .into_iter()
+        .map(|sampler| builder.shared_profile(sampler))
+        .collect();
+    (builder.spawn(), profile_ids)
 }
 
 fn main() -> ExitCode {
@@ -130,9 +160,6 @@ fn main() -> ExitCode {
                 }
             },
         };
-        // Arm cache-load faults before the kernels are built, so the
-        // fallback-to-direct-synthesis path is what actually serves.
-        plan.arm_cache_load_failures();
         eprintln!(
             "rpc_server: chaos armed ({} worker fault(s), {} cache-load failure(s))",
             plan.worker_faults().len(),
@@ -143,20 +170,14 @@ fn main() -> ExitCode {
         None
     };
 
-    let shared = build_standard_profiles(profiles_k);
-    let mut builder = Pool::builder()
-        .threads(threads)
-        .width(width)
-        .queue_capacity(1024)
-        .seed_u64(seed);
-    if let Some(plan) = &faults {
-        builder = builder.faults(plan.clone());
-    }
-    let profile_ids: Vec<_> = shared
-        .iter()
-        .map(|s| builder.shared_profile(Arc::clone(s)))
-        .collect();
-    let pool = Arc::new(builder.spawn());
+    let (pool, profile_ids) = start_pool(
+        faults,
+        || build_standard_profiles(profiles_k),
+        threads,
+        width,
+        seed,
+    );
+    let pool = Arc::new(pool);
 
     let server = match Server::bind(addr.as_str(), pool, profile_ids, cfg) {
         Ok(server) => server,
@@ -201,5 +222,51 @@ fn main() -> ExitCode {
             report.accepted, report.resolved
         );
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctgauss_core::{CacheDisposition, KernelCache, SamplerSpec};
+
+    /// Start-up consumes the plan's cache-load failures and leaves none
+    /// pending: after it, a cache-enabled build on the same thread loads
+    /// warm instead of falling back to synthesis.
+    #[test]
+    fn start_up_arms_cache_load_failures_once() {
+        let dir = std::env::temp_dir().join(format!("ctgauss-rpc-server-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = KernelCache::at(&dir);
+        let spec = SamplerSpec::new("2", 12);
+        spec.build_shared_with(&cache).expect("cold build");
+
+        let plan = FaultPlan::new().fail_cache_loads(1);
+        let mut startup = None;
+        let (pool, ids) = start_pool(
+            Some(plan),
+            || {
+                let (sampler, trace) = spec.build_shared_with(&cache).expect("profile builds");
+                startup = Some(trace.cache);
+                vec![sampler]
+            },
+            1,
+            LaneWidth::W1,
+            1,
+        );
+        assert_eq!(ids.len(), 1);
+        pool.shutdown();
+        assert_eq!(
+            startup,
+            Some(CacheDisposition::Miss { stored: true }),
+            "the armed failure hits the start-up build"
+        );
+        let (_, trace) = spec.build_shared_with(&cache).expect("rebuild");
+        assert_eq!(
+            trace.cache,
+            CacheDisposition::Hit,
+            "no failure left pending"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
