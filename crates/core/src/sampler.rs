@@ -864,6 +864,22 @@ mod tests {
         }
     }
 
+    /// A scratch reused across calls leaves no state behind: each batch
+    /// equals one drawn through a freshly allocated scratch.
+    #[test]
+    fn scratch_reuse_is_equivalent() {
+        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let mut rng_a = ChaChaRng::from_u64_seed(77);
+        let mut rng_b = ChaChaRng::from_u64_seed(77);
+        let mut scratch = sampler.scratch::<2>();
+        let mut out = [0i32; 128];
+        for round in 0..5 {
+            sampler.sample_batch_with(&mut rng_a, &mut scratch, &mut out);
+            let fresh = sampler.sample_batch_wide::<2, _>(&mut rng_b);
+            assert_eq!(&out[..], &fresh[..], "round {round}");
+        }
+    }
+
     #[test]
     fn kernel_is_smaller_than_program() {
         // The lowering must actually compact the hot loop: fewer (or equal)
