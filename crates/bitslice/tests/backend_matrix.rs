@@ -12,8 +12,9 @@
 //! would pick a native ISA, and the native cells (SSE2/AVX2/AVX-512/NEON)
 //! are exercised exactly where the CPU supports them.
 //! `CTGAUSS_FORCE_BACKEND` selection is covered by a serialized env
-//! round-trip test below; the CI `simd-smoke` job additionally forces the
-//! portable backend through a full kernel run in a separate process.
+//! round-trip test below; the sampler tests in `ctgauss-core` hold every
+//! available backend's batches and `sample_into` streams equal to the
+//! scalar reference on real sampler kernels.
 
 mod common;
 

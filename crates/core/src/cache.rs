@@ -411,52 +411,58 @@ mod tests {
         KernelCache::at(dir)
     }
 
+    /// 64·15 + 37 samples: `sample_into` runs its 8-, 4-, 2- and 1-word
+    /// phases and a truncated tail.
     fn stream(sampler: &CtSampler, seed: u64) -> Vec<i32> {
         let mut rng = ChaChaRng::from_u64_seed(seed);
-        let mut out = vec![0i32; 300];
+        let mut out = vec![0i32; 64 * 15 + 37];
         sampler.sample_into(&mut out, &mut rng);
         out
     }
 
+    /// Both tile encodings round-trip: sigma = 2 packs the dense `u32`
+    /// stream, sigma = 6.15543 at n = 128 the wide `u16x4` one.
     #[test]
     fn cold_miss_stores_then_warm_hit_skips_synthesis() {
         let cache = scratch_cache("cold-warm");
-        let spec = SamplerSpec::new("2", 14);
+        for (sigma, n) in [("2", 14), ("6.15543", 128)] {
+            let spec = SamplerSpec::new(sigma, n);
 
-        let (cold, cold_trace) = spec.build_shared_with(&cache).unwrap();
-        assert_eq!(cold_trace.cache, CacheDisposition::Miss { stored: true });
-        assert!(cold_trace.ran(SynthStage::MinimizedSop));
+            let (cold, cold_trace) = spec.build_shared_with(&cache).unwrap();
+            assert_eq!(cold_trace.cache, CacheDisposition::Miss { stored: true });
+            assert!(cold_trace.ran(SynthStage::MinimizedSop));
 
-        let (warm, warm_trace) = spec.build_shared_with(&cache).unwrap();
-        assert_eq!(warm_trace.cache, CacheDisposition::Hit);
-        assert!(warm_trace.ran(SynthStage::ProbTables));
-        for stage in [
-            SynthStage::MinimizedSop,
-            SynthStage::Program,
-            SynthStage::CompiledKernel,
-            SynthStage::TiledKernel,
-        ] {
-            assert!(!warm_trace.ran(stage), "{stage} must be served from cache");
+            let (warm, warm_trace) = spec.build_shared_with(&cache).unwrap();
+            assert_eq!(warm_trace.cache, CacheDisposition::Hit);
+            assert!(warm_trace.ran(SynthStage::ProbTables));
+            for stage in [
+                SynthStage::MinimizedSop,
+                SynthStage::Program,
+                SynthStage::CompiledKernel,
+                SynthStage::TiledKernel,
+            ] {
+                assert!(!warm_trace.ran(stage), "{stage} must be served from cache");
+            }
+            // Same fingerprints, same kernel, bit-identical streams.
+            assert_eq!(
+                cold_trace
+                    .stages
+                    .iter()
+                    .map(|r| r.fingerprint)
+                    .collect::<Vec<_>>(),
+                warm_trace
+                    .stages
+                    .iter()
+                    .map(|r| r.fingerprint)
+                    .collect::<Vec<_>>(),
+            );
+            assert_eq!(warm.program(), cold.program());
+            assert_eq!(warm.tiled_kernel(), cold.tiled_kernel());
+            assert_eq!(stream(&warm, 7), stream(&cold, 7), "sigma = {sigma}");
+            // The warm report survives serialization intact.
+            assert_eq!(warm.report().sublists, cold.report().sublists);
+            assert_eq!(warm.report().gates, cold.report().gates);
         }
-        // Same fingerprints, same kernel, bit-identical streams.
-        assert_eq!(
-            cold_trace
-                .stages
-                .iter()
-                .map(|r| r.fingerprint)
-                .collect::<Vec<_>>(),
-            warm_trace
-                .stages
-                .iter()
-                .map(|r| r.fingerprint)
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(warm.program(), cold.program());
-        assert_eq!(warm.tiled_kernel(), cold.tiled_kernel());
-        assert_eq!(stream(&warm, 7), stream(&cold, 7));
-        // The warm report survives serialization intact.
-        assert_eq!(warm.report().sublists, cold.report().sublists);
-        assert_eq!(warm.report().gates, cold.report().gates);
 
         let _ = fs::remove_dir_all(cache.dir().unwrap());
     }

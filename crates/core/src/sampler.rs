@@ -591,23 +591,32 @@ mod tests {
 
     /// The tiled engine agrees with the interpreter oracle at W = 1 and,
     /// through `run_batch_lanes`, on every available backend lane for
-    /// lane.
+    /// lane, and its constant-time audit holds. The sigma = 6.15543,
+    /// n = 128 kernel runs the wide (`u16x4`) micro-op stream.
     #[test]
     fn engines_agree_on_random_batches() {
-        for strategy in [Strategy::SplitExact, Strategy::Simple] {
-            let sampler = SamplerBuilder::new("2", 14)
+        for (sigma, n, strategy) in [
+            ("2", 14usize, Strategy::SplitExact),
+            ("2", 14, Strategy::Simple),
+            ("6.15543", 128, Strategy::SplitExact),
+        ] {
+            let sampler = SamplerBuilder::new(sigma, n as u32)
                 .strategy(strategy)
                 .build()
                 .unwrap();
+            assert!(
+                sampler.audit_tiled().is_constant_time(),
+                "sigma = {sigma}, {strategy}: tiled audit"
+            );
             let mut rng = SplitMix64::new(2024);
             for round in 0..100 {
-                let mut inputs = vec![0u64; 14];
+                let mut inputs = vec![0u64; n];
                 rng.fill_u64s(&mut inputs);
                 let signs = rng.next_u64();
                 assert_eq!(
                     sampler.run_batch(&inputs, signs),
                     sampler.run_batch_reference(&inputs, signs),
-                    "{strategy}, round {round}: tiled vs interpreter"
+                    "sigma = {sigma}, {strategy}, round {round}: tiled vs interpreter"
                 );
             }
             let nw = sampler.tiled_kernel().num_outputs();
@@ -616,17 +625,17 @@ mod tests {
                 let mut words = vec![0u64; nw * w];
                 let mut out = vec![0i32; 64 * w];
                 for round in 0..8 {
-                    let mut inputs = vec![0u64; 14 * w];
+                    let mut inputs = vec![0u64; n * w];
                     rng.fill_u64s(&mut inputs);
                     let mut signs = vec![0u64; w];
                     rng.fill_u64s(&mut signs);
                     sampler.run_batch_lanes(backend, &inputs, &mut words, &signs, &mut out);
                     for lane in 0..w {
-                        let lane_inputs: Vec<u64> = (0..14).map(|i| inputs[i * w + lane]).collect();
+                        let lane_inputs: Vec<u64> = (0..n).map(|i| inputs[i * w + lane]).collect();
                         assert_eq!(
                             out[64 * lane..64 * (lane + 1)],
                             sampler.run_batch_reference(&lane_inputs, signs[lane]),
-                            "{strategy}, {backend}, round {round}, lane {lane}"
+                            "sigma = {sigma}, {strategy}, {backend}, round {round}, lane {lane}"
                         );
                     }
                 }
@@ -636,21 +645,27 @@ mod tests {
 
     #[test]
     fn tiled_kernel_cuts_dispatches_and_preserves_the_stream() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        let tiled = sampler.tiled_kernel();
-        let stats = tiled.stats();
-        // Tiling is a pure re-encoding of the (deterministic) lowering...
-        let kernel = CompiledKernel::lower(sampler.program());
-        assert_eq!(tiled.micro_instrs(), kernel.instrs());
-        assert_eq!(stats.micro_ops, kernel.instrs().len());
-        // ...that fires the dispatch loop >= 3x less often on the
-        // And/Or-dominated selector-chain kernels.
-        assert!(
-            stats.dispatches * 3 <= stats.micro_ops,
-            "expected >= 3x static dispatch reduction, got {} tiles for {} micro-ops",
-            stats.dispatches,
-            stats.micro_ops
-        );
+        // The dense (one `u32` per micro-op) and the wide (`u16x4`)
+        // encodings, each on a real sampler kernel.
+        for (sigma, n, dense) in [("2", 24, true), ("6.15543", 128, false)] {
+            let sampler = SamplerBuilder::new(sigma, n).build().unwrap();
+            let tiled = sampler.tiled_kernel();
+            let stats = tiled.stats();
+            assert_eq!(stats.dense, dense, "sigma = {sigma}: encoding");
+            // Tiling is a pure re-encoding of the (deterministic) lowering...
+            let kernel = CompiledKernel::lower(sampler.program());
+            assert_eq!(tiled.micro_instrs(), kernel.instrs());
+            assert_eq!(stats.micro_ops, kernel.instrs().len());
+            // ...that fires the dispatch loop >= 3x less often on the
+            // And/Or-dominated selector-chain kernels.
+            assert!(
+                stats.dispatches * 3 <= stats.micro_ops,
+                "sigma = {sigma}: expected >= 3x static dispatch reduction, \
+                 got {} tiles for {} micro-ops",
+                stats.dispatches,
+                stats.micro_ops
+            );
+        }
     }
 
     #[test]

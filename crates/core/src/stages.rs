@@ -215,8 +215,8 @@ pub struct StageRecord {
 
 /// The per-build record the staged pipeline produces alongside the
 /// sampler: stage timings, fingerprints, skip flags, and the cache
-/// disposition. This is what `build_time` prints and what the CI
-/// `cache-smoke` gate asserts on.
+/// disposition. This is what `build_time` prints and what the cache
+/// tests assert on.
 #[derive(Debug, Clone)]
 pub struct BuildTrace {
     /// Stage records in execution order (always all six stages).

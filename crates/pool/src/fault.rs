@@ -2,9 +2,10 @@
 //!
 //! Every recovery path in this crate — supervised resurrection, epoch
 //! streams, ticket deadlines, the `WorkerGone` degradation — is only
-//! trustworthy if it can be *exercised*, deterministically, in tests and
-//! in the `rpc_server --chaos` / `rpc_smoke` harnesses. A [`FaultPlan`]
-//! makes each failure reachable on demand:
+//! trustworthy if it can be *exercised*, deterministically: in the
+//! pool's chaos tests, over a socket in the RPC server's wire tests, and
+//! by hand through `rpc_server --chaos`. A [`FaultPlan`] makes each
+//! failure reachable on demand:
 //!
 //! * **panic** a worker when its lifetime batch or request counter
 //!   reaches N (the counters survive resurrection, so a fault fires at

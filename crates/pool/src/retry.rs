@@ -7,8 +7,11 @@
 //! bounded-latency client wants around it: retry the *transient*
 //! refusals ([`PoolError::TimedOut`], [`PoolError::Backpressure`]) with
 //! backoff, pass the final ones (`WorkerGone`, `ShuttingDown`,
-//! `UnknownProfile`) straight through. The RPC front ends drive all
-//! their chaos-mode traffic through this helper.
+//! `UnknownProfile`) straight through. In-process callers use it
+//! directly (the pool's long-tail and chaos tests submit every request
+//! through it). The RPC server calls `submit_timeout` once per request
+//! and answers a refusal with a retryable wire error; the RPC client
+//! retries those with this module's [`Backoff`].
 //!
 //! # Why jitter, and why seeded
 //!

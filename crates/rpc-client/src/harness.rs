@@ -1,6 +1,5 @@
 //! The load-test and verification toolkit shared by the networked
-//! `rpc_server` example, the `rpc_smoke` CI binary and the end-to-end
-//! benchmark.
+//! `rpc_server` example, the wire tests and the end-to-end benchmark.
 //!
 //! Everything here is deterministic by construction — traces are
 //! generated from a seed, retry jitter is seeded, and verification is
@@ -13,7 +12,6 @@
 //! sequence number, not by who asked when.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,60 +86,6 @@ pub fn gen_trace(seed: u64, n: usize, profiles: usize, max_count: usize) -> Vec<
         .collect()
 }
 
-/// The response checksum every verification leg compares: FNV-1a folded
-/// over the samples, in trace order. Bit-exact across machines and runs
-/// by the determinism contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FnvChecksum(u64);
-
-impl FnvChecksum {
-    /// The empty checksum.
-    pub fn new() -> Self {
-        FnvChecksum(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds a response's samples in.
-    pub fn update(&mut self, samples: &[i32]) {
-        for &s in samples {
-            self.0 = (self.0 ^ (s as u32 as u64)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The digest so far.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for FnvChecksum {
-    fn default() -> Self {
-        FnvChecksum::new()
-    }
-}
-
-/// Arms a watchdog that kills the process (exit 3) if `done` is not set
-/// within `deadline` — the non-hanging guarantee for verification runs:
-/// a verifier that wedges is a failed verification, not a pending one.
-pub fn arm_watchdog(name: &'static str, deadline: Duration) -> Arc<AtomicBool> {
-    let done = Arc::new(AtomicBool::new(false));
-    let observed = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let start = Instant::now();
-        while start.elapsed() < deadline {
-            std::thread::sleep(Duration::from_millis(100));
-            if observed.load(Ordering::Relaxed) {
-                return;
-            }
-        }
-        eprintln!(
-            "{name}: watchdog deadline ({}s) exceeded — verification wedged, aborting",
-            deadline.as_secs()
-        );
-        std::process::exit(3);
-    });
-    done
-}
-
 /// Policy for [`run_load`].
 #[derive(Debug, Clone, Copy)]
 pub struct LoadOptions {
@@ -214,17 +158,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The FNV checksum over all delivered samples, in trace order.
-    pub fn checksum(&self) -> u64 {
-        let mut checksum = FnvChecksum::new();
-        for outcome in &self.outcomes {
-            if let RequestOutcome::Samples { samples, .. } = outcome {
-                checksum.update(samples);
-            }
-        }
-        checksum.value()
-    }
-
     /// Count of outcomes that delivered samples.
     pub fn fulfilled(&self) -> usize {
         self.outcomes
@@ -449,18 +382,5 @@ mod tests {
             .iter()
             .all(|l| l.profile < 3 && (1..=4096).contains(&l.count)));
         assert_ne!(a, gen_trace(12, 200, 3, 4096));
-    }
-
-    #[test]
-    fn checksum_matches_the_historical_fold() {
-        // Pinned against the plain FNV-1a fold over each sample's u32 bits.
-        let mut reference = 0xcbf2_9ce4_8422_2325u64;
-        for s in [-3i32, 0, 7, 1000] {
-            reference = (reference ^ (s as u32 as u64)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut checksum = FnvChecksum::new();
-        checksum.update(&[-3, 0]);
-        checksum.update(&[7, 1000]);
-        assert_eq!(checksum.value(), reference);
     }
 }

@@ -1,6 +1,6 @@
 //! Client library for the ctgauss RPC service: connection setup with
-//! seeded backoff, deadline-aware calls, and the load-test harness the
-//! CI smoke jobs drive the real server with.
+//! seeded backoff, deadline-aware calls, and the load-test harness that
+//! drives a real server in the wire tests and the end-to-end benchmark.
 //!
 //! The transport client ([`Client`]) is deliberately small — a `TcpStream`,
 //! a codec, and a correlation-id counter. Everything stateful about
@@ -20,10 +20,9 @@
 //!
 //! The [`harness`] module holds the load-generation and verification
 //! toolkit shared by the `rpc_server` example (network front door), the
-//! `rpc_smoke` CI binary and the end-to-end benchmark: trace generation,
-//! the FNV response checksum, a windowed pipelined load runner, and the
-//! replay-audit verifier that proves bit-exactness end to end over the
-//! wire.
+//! wire tests and the end-to-end benchmark: trace generation, a windowed
+//! pipelined load runner, and the replay-audit verifier that proves
+//! bit-exactness end to end over the wire.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

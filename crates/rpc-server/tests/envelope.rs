@@ -3,16 +3,22 @@
 //! the global admission limiter shed with the right retryable kinds,
 //! client deadlines propagate into pre-admission refusals (no sequence
 //! number consumed) and post-admission expiries (sequence number
-//! consumed, accounted), and a drain under load resolves every accepted
+//! consumed, accounted), a drain under load resolves every accepted
 //! request — the zero-loss guarantee checked against the wire, not just
-//! the counters.
+//! the counters — and pipelined loads, on a coalescing pool and under
+//! the built-in chaos plan, replay bit for bit from the server's audit.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ctgauss_core::{CtSampler, SamplerSpec};
-use ctgauss_pool::{replay, FaultPlan, LaneWidth, Pool, ProfileId};
-use ctgauss_prng::SeedTree;
+use ctgauss_pool::{
+    replay, CoalesceConfig, FaultPlan, LaneWidth, Pool, PoolBuilder, ProfileId, DEFAULT_CHAOS_SPEC,
+};
+use ctgauss_prng::{RandomSource, SeedTree, SplitMix64};
+use ctgauss_rpc_client::harness::{
+    build_standard_profiles, gen_trace, run_load, verify_replay_coalesced, LoadOptions, TraceLine,
+};
 use ctgauss_rpc_client::{Client, ClientError, ConnectOptions};
 use ctgauss_rpc_core::{CodecKind, ErrorKind, RequestBody, ResponseBody};
 use ctgauss_rpc_server::{Server, ServerConfig};
@@ -40,7 +46,6 @@ fn fixture(
     faults: Option<FaultPlan>,
     cfg: ServerConfig,
 ) -> Fixture {
-    let shared = shared_profile();
     let mut builder = Pool::builder()
         .threads(threads)
         .width(LaneWidth::W1)
@@ -49,6 +54,13 @@ fn fixture(
     if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
+    serve(builder, seed, threads, cfg)
+}
+
+/// Builds the profile on `builder` (after any fault plan it carries was
+/// armed), spawns the pool and binds the server.
+fn serve(mut builder: PoolBuilder, seed: u64, threads: usize, cfg: ServerConfig) -> Fixture {
+    let shared = shared_profile();
     let profile: ProfileId = builder.shared_profile(Arc::clone(&shared));
     let pool = Arc::new(builder.spawn());
     let server = Server::bind("127.0.0.1:0", pool, vec![profile], cfg).expect("bind");
@@ -143,9 +155,21 @@ fn both_codecs_round_trip_against_a_live_server() {
     assert!(fixture.server.shutdown().lossless());
 }
 
+/// The registry over the wire, on a coalescing pool (stealing off) at
+/// two W1 shards, where full gangs are 64 samples and tiny requests
+/// really share them.
 #[test]
 fn registry_lifecycle_over_the_wire() {
-    let fixture = fixture(2, 64, 47, None, ServerConfig::default());
+    let builder = Pool::builder()
+        .threads(2)
+        .width(LaneWidth::W1)
+        .queue_capacity(64)
+        .seed_u64(47)
+        .coalesce(CoalesceConfig {
+            steal: false,
+            ..CoalesceConfig::default()
+        });
+    let fixture = serve(builder, 47, 2, ServerConfig::default());
     let mut client = connect(&fixture, CodecKind::Binary);
 
     // The boot-time profile is listed at wire index 0.
@@ -169,6 +193,49 @@ fn registry_lifecycle_over_the_wire() {
     assert_eq!(listed.len(), 2);
     assert_eq!(listed[1].label, "1.5");
     assert_eq!(listed[1].precision, 16);
+    let registered = vec![
+        Arc::clone(&fixture.shared),
+        SamplerSpec::new("1.5", 16).build_shared().expect("profile"),
+    ];
+
+    // A window-32 pipelined load of tiny (1..=8-sample) requests over
+    // both profiles, the hot-loaded one included, through the JSON
+    // codec: every response replays from the passthrough schedule, and
+    // staging must have ganged requests together.
+    let mut rng = SplitMix64::new(0xC0A1);
+    let trace: Vec<TraceLine> = (0..500)
+        .map(|_| TraceLine {
+            profile: (rng.next_u64() % registered.len() as u64) as usize,
+            count: 1 + (rng.next_u64() % 8) as usize,
+        })
+        .collect();
+    let report = run_load(
+        &mut json_client,
+        &trace,
+        &LoadOptions {
+            window: 32,
+            deadline_ms: 30_000,
+            ..LoadOptions::default()
+        },
+    )
+    .expect("coalesced load");
+    assert_eq!(report.fulfilled(), trace.len(), "{:?}", report.failures());
+    let audit = json_client.replay_audit(RPC_TIMEOUT).expect("audit");
+    assert!(audit.failures.is_empty());
+    let verify = verify_replay_coalesced(fixture.seed, &audit, &report.outcomes, &registered);
+    assert!(verify.ok(), "{verify:?}");
+    let stats = json_client.stats(RPC_TIMEOUT).expect("stats");
+    let json = ctgauss_telemetry::json::Json::parse(&stats).expect("stats JSON parses");
+    let pool_counter = |name: &str| {
+        json.get("pool")
+            .and_then(|p| p.get(name))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("stats JSON missing pool.{name}"))
+    };
+    assert!(
+        pool_counter("gangs_flushed") < pool_counter("requests_total"),
+        "staging ganged nothing"
+    );
 
     // A build refusal is a BadRequest, not a connection error, and
     // mints no registry slot.
@@ -215,10 +282,6 @@ fn registry_lifecycle_over_the_wire() {
     // is submission-side only and never disturbs the replay record.
     let (seq, samples) = client.sample(0, 16, 0).expect("sample");
     let audit = client.replay_audit(RPC_TIMEOUT).expect("audit");
-    let registered = vec![
-        Arc::clone(&fixture.shared),
-        SamplerSpec::new("1.5", 16).build_shared().expect("profile"),
-    ];
     let offline = replay(
         &SeedTree::from_u64_seed(fixture.seed),
         &registered,
@@ -503,4 +566,79 @@ fn drain_under_load_answers_everything_accepted() {
         refused,
         Err(ClientError::Connect(_) | ClientError::Hello | ClientError::Frame(_))
     ));
+}
+
+/// The built-in chaos plan over the wire: workers die and stall under a
+/// pipelined ~1,000-request trace on four W4 shards, the client honors
+/// the retryable bit, and every delivered response must replay bit for
+/// bit from the server's audit. The plan goes to the builder before the
+/// profiles are built, so its cache-load failure meets those builds.
+#[test]
+fn chaos_run_over_the_wire_replays_from_the_audit() {
+    let seed = 7;
+    let plan = FaultPlan::parse(DEFAULT_CHAOS_SPEC).expect("built-in chaos spec parses");
+    let mut builder = Pool::builder()
+        .threads(4)
+        .width(LaneWidth::W4)
+        .queue_capacity(1024)
+        .seed_u64(seed)
+        .faults(plan);
+    let shared = build_standard_profiles(3);
+    let profiles: Vec<ProfileId> = shared
+        .iter()
+        .map(|s| builder.shared_profile(Arc::clone(s)))
+        .collect();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(builder.spawn()),
+        profiles,
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(
+        server.local_addr(),
+        CodecKind::Binary,
+        &ConnectOptions::default(),
+    )
+    .expect("connect");
+
+    let trace = gen_trace(seed, 1_000, 3, 4096);
+    let report = run_load(
+        &mut client,
+        &trace,
+        &LoadOptions {
+            deadline_ms: 30_000,
+            retry_attempts: 16,
+            jitter_seed: seed ^ 0xC4A0,
+            ..LoadOptions::default()
+        },
+    )
+    .expect("chaos load");
+    for (index, error) in report.failures() {
+        assert!(
+            matches!(
+                error.kind,
+                ErrorKind::WorkerGone | ErrorKind::DeadlineExceeded | ErrorKind::Backpressure
+            ),
+            "request {index} failed with an unaccounted kind: {error:?}"
+        );
+    }
+
+    // The failure log trails worker deaths slightly: refetch the audit
+    // until the replay closes, a bounded number of times.
+    let mut verdict = None;
+    for _ in 0..20 {
+        let audit = client.replay_audit(RPC_TIMEOUT).expect("audit");
+        let verify = verify_replay_coalesced(seed, &audit, &report.outcomes, &shared);
+        if verify.ok() {
+            verdict = Some((audit.failures.len(), verify.compared));
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    let (failures, compared) = verdict.expect("replay never closed after 20 audit fetches");
+    assert!(failures > 0, "the plan's worker faults must fire");
+    assert_eq!(compared, report.fulfilled());
+    drop(client);
+    assert!(server.shutdown().lossless());
 }

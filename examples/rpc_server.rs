@@ -10,7 +10,7 @@
 //! # Terminal 1: serve on an ephemeral port with 4 workers.
 //! rpc_server --threads 4 --width 4 --seed 7
 //! listening 127.0.0.1:44321
-//! # Terminal 2: drive it with the harness client (see rpc_smoke).
+//! # Terminal 2: drive it with the harness client (`ctgauss_rpc_client::harness`).
 //! ```
 //!
 //! The process serves until stdin reads a line saying `quit` (or
