@@ -30,11 +30,13 @@
 //! # Location
 //!
 //! `$CTGAUSS_CACHE_DIR` when set (the empty string, `0` or `off`
-//! disables caching); otherwise a `ctgauss-cache/` directory next to the
+//! disables caching); otherwise a `ctgauss-cache/` directory inside the
 //! running binary's `target` directory when one is found on its path
-//! (the workspace-local default), falling back to the system temp
-//! directory. Writes go through a unique temp file plus an atomic rename,
-//! so concurrent processes race benignly.
+//! (the workspace-local default). With neither, caching is disabled:
+//! there is no shared fallback such as the system temp directory, where
+//! every process on the machine would read and write one world-writable
+//! kernel store. Writes go through a unique temp file plus an atomic
+//! rename, so concurrent processes race benignly.
 
 use std::env;
 use std::ffi::OsStr;
@@ -135,7 +137,7 @@ impl KernelCache {
 
     /// The cache configured by the environment: `$CTGAUSS_CACHE_DIR`
     /// (empty / `0` / `off` disables), else the target-local default,
-    /// else the system temp directory (see the module docs).
+    /// else disabled (see the module docs).
     pub fn from_env() -> Self {
         match env::var_os("CTGAUSS_CACHE_DIR") {
             Some(v) if v.is_empty() || v == OsStr::new("0") || v == OsStr::new("off") => {
@@ -143,7 +145,9 @@ impl KernelCache {
             }
             Some(v) => KernelCache::at(PathBuf::from(v)),
             None => KernelCache {
-                dir: Some(default_dir()),
+                dir: env::current_exe()
+                    .ok()
+                    .and_then(|exe| target_cache_dir(&exe)),
             },
         }
     }
@@ -209,18 +213,13 @@ impl KernelCache {
     }
 }
 
-/// The workspace-local default: a `ctgauss-cache/` inside the `target`
-/// directory the running binary lives under, or the system temp dir when
+/// The workspace-local default for a binary at `exe`: a
+/// `ctgauss-cache/` inside the nearest `target` ancestor, or `None` when
 /// the binary is not in a cargo target tree.
-fn default_dir() -> PathBuf {
-    if let Ok(exe) = env::current_exe() {
-        for ancestor in exe.ancestors() {
-            if ancestor.file_name() == Some(OsStr::new("target")) {
-                return ancestor.join("ctgauss-cache");
-            }
-        }
-    }
-    env::temp_dir().join("ctgauss-cache")
+fn target_cache_dir(exe: &Path) -> Option<PathBuf> {
+    exe.ancestors()
+        .find(|ancestor| ancestor.file_name() == Some(OsStr::new("target")))
+        .map(|target| target.join("ctgauss-cache"))
 }
 
 /// Serializes the core-owned artifact meta section: the six stage
@@ -596,6 +595,15 @@ mod tests {
             sampler.sample_batch(&mut ChaChaRng::from_u64_seed(1)).len(),
             64
         );
+    }
+
+    #[test]
+    fn default_dir_needs_a_target_ancestor() {
+        assert_eq!(
+            target_cache_dir(Path::new("/work/ws/target/release/x")),
+            Some(PathBuf::from("/work/ws/target/ctgauss-cache"))
+        );
+        assert_eq!(target_cache_dir(Path::new("/usr/local/bin/x")), None);
     }
 
     #[test]

@@ -10,22 +10,49 @@
 //! ```text
 //! offset  size  field
 //! 0       1     magic 0xC7
-//! 1       1     codec version (1)
+//! 1       1     codec version (2)
 //! 2       1     message kind
 //! 3       ...   body (kind-specific)
-//! end-8   8     checksum: FNV-1a over bytes [0, end-8)
+//! end-8   8     checksum: word-wise FNV-1a over bytes [0, end-8)
 //! ```
 //!
-//! The trailing FNV-1a checksum is the same integrity standard as the
-//! kernel-artifact loader: FNV-1a provably detects every single-byte
-//! substitution (XOR then multiply-by-odd-prime are bijections on
-//! `u64`), so no flipped byte in a frame can decode into a different
-//! valid message. On top of the checksum, decoding is structurally
-//! strict: enum discriminants must be in range, booleans must be 0/1,
-//! lengths are validated against the remaining payload *before* any
-//! allocation, canonical-zero rules are enforced (e.g. `new_epoch` must
-//! be 0 unless the outcome is `Restarted`), and every byte must be
-//! consumed.
+//! Magic and version are checked before the checksum, so a peer on
+//! another codec version is refused as [`DecodeError::BadVersion`], not
+//! as a checksum mismatch. Version 1 differed from version 2 only in
+//! its checksum (byte-serial FNV-1a).
+//!
+//! # The checksum
+//!
+//! A word-wise FNV-1a. The content is cut into 32-byte chunks; each
+//! chunk is four little-endian `u64` words, and word `j` is absorbed
+//! into lane `j` (four lanes, each starting from its own offset basis).
+//! The tail of fewer than 32 bytes is then absorbed one byte at a time
+//! into a fifth state, and the four lane states are folded into that
+//! state, lane 0 first. Every absorb and fold is the same FNV-1a step
+//! `s ← (s ⊕ w) · P` with the 64-bit FNV prime `P`. The four lanes are
+//! independent multiply chains, so the hash runs at word speed instead
+//! of waiting on one multiply per byte.
+//!
+//! **Every single-byte substitution is detected.** `P` is odd, so
+//! multiplication by `P` is invertible mod 2⁶⁴, and the step is a
+//! bijection in `w` for a fixed `s` and a bijection in `s` for a fixed
+//! `w`. Take two contents of one length that differ in exactly one
+//! byte. That byte sits in exactly one absorbed input: a lane word, or
+//! a tail byte. Every state before that step is equal on both sides; at
+//! that step the inputs differ, so (bijection in `w`) the states after
+//! it differ. Every later step on that state absorbs equal inputs, so
+//! (bijection in `s`) the states stay different; a differing lane is in
+//! turn one differing input to the fold, which carries the difference
+//! into the result the same way. So the two checksums differ, and no
+//! flipped byte in a frame can decode into a different valid message.
+//! That is the integrity standard of the kernel-artifact loader, which
+//! keeps its own byte-serial FNV-1a.
+//!
+//! On top of the checksum, decoding is structurally strict: enum
+//! discriminants must be in range, booleans must be 0/1, lengths are
+//! validated against the remaining payload *before* any allocation,
+//! canonical-zero rules are enforced (e.g. `new_epoch` must be 0 unless
+//! the outcome is `Restarted`), and every byte must be consumed.
 //!
 //! # JSON layout
 //!
@@ -80,7 +107,7 @@ impl CodecKind {
 pub const BINARY_MAGIC: u8 = 0xC7;
 
 /// The binary codec version; bump on any layout change.
-pub const BINARY_VERSION: u8 = 1;
+pub const BINARY_VERSION: u8 = 2;
 
 /// Bytes of fixed overhead in a binary payload: magic, version, kind,
 /// trailing checksum.
@@ -209,14 +236,31 @@ fn check_precision(precision: u32) -> Result<u32, DecodeError> {
     Ok(precision)
 }
 
-/// FNV-1a over `bytes` (same constants as the kernel-artifact format).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The 64-bit FNV-1a offset basis (the kernel-artifact constants).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV prime; odd, so multiplying by it is a bijection.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step, a bijection in `state` and in `word`.
+fn fnv_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// The payload checksum: word-wise FNV-1a over four interleaved `u64`
+/// lanes (see the [module docs](self) for the layout and the proof that
+/// it detects every single-byte substitution).
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes: [u64; 4] = core::array::from_fn(|j| FNV_OFFSET ^ (j as u64 + 1));
+    let (chunks, tail) = bytes.as_chunks::<32>();
+    for chunk in chunks {
+        for (lane, &word) in lanes.iter_mut().zip(chunk.as_chunks::<8>().0) {
+            *lane = fnv_step(*lane, u64::from_le_bytes(word));
+        }
     }
-    h
+    let tail = tail
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| fnv_step(h, u64::from(b)));
+    lanes.into_iter().fold(tail, fnv_step)
 }
 
 mod binary {
@@ -262,17 +306,25 @@ mod binary {
         fn u64(&mut self, v: u64) {
             self.buf.extend_from_slice(&v.to_le_bytes());
         }
-        fn i32(&mut self, v: i32) {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        /// A `u32` count, then the values, written in one pass over a
+        /// buffer sized once (room for the checksum included).
+        fn i32s(&mut self, vs: &[i32]) {
+            self.u32(u32::try_from(vs.len()).expect("sample count fits u32"));
+            let start = self.buf.len();
+            self.buf.reserve_exact(4 * vs.len() + 8);
+            self.buf.resize(start + 4 * vs.len(), 0);
+            for (dst, v) in self.buf[start..].as_chunks_mut::<4>().0.iter_mut().zip(vs) {
+                *dst = v.to_le_bytes();
+            }
         }
         fn str(&mut self, v: &str) {
             self.u32(u32::try_from(v.len()).expect("string fits u32 length"));
             self.buf.extend_from_slice(v.as_bytes());
         }
-        /// Seals the payload: appends the FNV-1a checksum of everything
-        /// written so far.
+        /// Seals the payload: appends the checksum of everything written
+        /// so far.
         fn seal(mut self) -> Vec<u8> {
-            let checksum = fnv1a(&self.buf);
+            let checksum = checksum(&self.buf);
             self.buf.extend_from_slice(&checksum.to_le_bytes());
             self.buf
         }
@@ -303,9 +355,6 @@ mod binary {
         }
         fn u64(&mut self) -> Result<u64, DecodeError> {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-        }
-        fn i32(&mut self) -> Result<i32, DecodeError> {
-            Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
         }
         fn bool(&mut self) -> Result<bool, DecodeError> {
             match self.u8()? {
@@ -351,27 +400,25 @@ mod binary {
         w
     }
 
-    /// Verifies the envelope (length, magic, version, checksum) and
-    /// hands back a reader positioned at the kind byte.
+    /// Verifies the envelope (length, magic, version, then checksum —
+    /// so another codec version is named as such) and hands back a
+    /// reader positioned after the kind byte.
     fn open(payload: &[u8]) -> Result<(u8, Reader<'_>), DecodeError> {
         if payload.len() < BINARY_OVERHEAD {
             return Err(DecodeError::Truncated);
         }
-        let (content, tail) = payload.split_at(payload.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("len 8"));
-        if fnv1a(content) != stored {
-            return Err(DecodeError::ChecksumMismatch);
-        }
-        let mut r = Reader::new(content);
-        if r.u8()? != BINARY_MAGIC {
+        if payload[0] != BINARY_MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        let version = r.u8()?;
-        if version != BINARY_VERSION {
-            return Err(DecodeError::BadVersion(version));
+        if payload[1] != BINARY_VERSION {
+            return Err(DecodeError::BadVersion(payload[1]));
         }
-        let kind = r.u8()?;
-        Ok((kind, r))
+        let (content, tail) = payload.split_at(payload.len() - 8);
+        let stored = u64::from_le_bytes(tail.try_into().expect("len 8"));
+        if checksum(content) != stored {
+            return Err(DecodeError::ChecksumMismatch);
+        }
+        Ok((content[2], Reader::new(&content[3..])))
     }
 
     pub(super) fn encode_request(request: &Request) -> Vec<u8> {
@@ -565,10 +612,7 @@ mod binary {
                 w.u64(response.id);
                 w.u64(*seq);
                 w.u64(*latency_ns);
-                w.u32(u32::try_from(samples.len()).expect("sample count fits u32"));
-                for &s in samples {
-                    w.i32(s);
-                }
+                w.i32s(samples);
             }
             ResponseBody::Health(health) => {
                 w = header(kind::RESP_HEALTH);
@@ -652,10 +696,13 @@ mod binary {
                 let latency_ns = r.u64()?;
                 let n = r.len_prefix(4)?;
                 check_count(u32::try_from(n).map_err(|_| DecodeError::Truncated)?)?;
-                let mut samples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    samples.push(r.i32()?);
-                }
+                let samples = r
+                    .take(4 * n)?
+                    .as_chunks::<4>()
+                    .0
+                    .iter()
+                    .map(|&b| i32::from_le_bytes(b))
+                    .collect();
                 ResponseBody::Samples {
                     seq,
                     latency_ns,
@@ -1391,11 +1438,57 @@ mod tests {
         // Checksum now mismatches, which is already a rejection; patch it
         // to isolate the length-prefix guard.
         let len = bytes.len();
-        let patched = super::fnv1a(&bytes[..len - 8]);
+        let patched = super::checksum(&bytes[..len - 8]);
         bytes[len - 8..].copy_from_slice(&patched.to_le_bytes());
         assert_eq!(
             decode_response(CodecKind::Binary, &bytes),
             Err(DecodeError::Truncated)
+        );
+    }
+
+    #[test]
+    fn checksum_detects_every_single_byte_substitution() {
+        // Lengths 0..=100 cover an all-tail payload, every tail length
+        // and the 32-, 64- and 96-byte chunk edges.
+        let base: Vec<u8> = (0..=100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=100 {
+            let content = &base[..len];
+            let clean = checksum(content);
+            let mut corrupt = content.to_vec();
+            for pos in 0..len {
+                for flip in 1..=255u8 {
+                    corrupt[pos] ^= flip;
+                    assert_ne!(checksum(&corrupt), clean, "len {len} pos {pos} xor {flip}");
+                    corrupt[pos] ^= flip;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_known_answers() {
+        // Pinned so the version-2 format cannot drift silently: the
+        // empty input (tail state folded with the four lane bases) and
+        // bytes 0..100 (three chunks and a 4-byte tail).
+        assert_eq!(checksum(b""), 0x73d8_816c_8a2e_86bd);
+        let bytes: Vec<u8> = (0..100).collect();
+        assert_eq!(checksum(&bytes), 0x91f4_5d55_bfe0_ac7d);
+    }
+
+    #[test]
+    fn other_codec_version_is_refused_by_version() {
+        // The checksum of a version-1 payload does not verify under
+        // version 2; the version byte is checked first, so the refusal
+        // names the version instead of reporting a mismatch.
+        let mut bytes = encode_request(CodecKind::Binary, &sample_request());
+        bytes[1] = 1;
+        let err = decode_request(CodecKind::Binary, &bytes).unwrap_err();
+        assert_eq!(err, DecodeError::BadVersion(1));
+        assert_eq!(err.to_string(), "unsupported codec version 1 (want 2)");
+        bytes[0] = 0;
+        assert_eq!(
+            decode_request(CodecKind::Binary, &bytes),
+            Err(DecodeError::BadMagic)
         );
     }
 

@@ -10,6 +10,8 @@
 //! little-endian payload length (at most [`MAX_FRAME_LEN`]) followed by
 //! that many payload bytes. The payload is a codec message
 //! ([`codec`](crate::codec)); framing knows nothing about its contents.
+//! [`write_frame`] sends prefix and payload in one write, so a frame is
+//! never split into a lone 4-byte segment.
 //!
 //! # Idle vs. stalled
 //!
@@ -66,7 +68,8 @@ pub enum FrameError {
     /// The read deadline elapsed mid-frame, or the peer closed mid-frame:
     /// the stream position is ambiguous and the connection must close.
     Stalled,
-    /// The peer declared a frame longer than [`MAX_FRAME_LEN`].
+    /// A frame longer than [`MAX_FRAME_LEN`]: declared by the peer, or
+    /// handed to [`write_frame`]. Carries that length.
     Oversized(u32),
     /// The peer's hello was not [`HELLO_MAGIC`] + a known codec byte.
     BadHello,
@@ -180,18 +183,28 @@ pub fn read_frame(reader: &mut impl Read) -> Result<FrameOutcome, FrameError> {
 
 /// Writes one frame (length prefix + payload) and flushes.
 ///
+/// Prefix and payload go out as one buffer in one `write_all`, so on a
+/// socket a frame is one send. Two writes are the write-write-read
+/// pattern: under Nagle's algorithm the payload's last partial segment
+/// waits for the ACK of the 4-byte prefix segment, which the peer
+/// delays.
+///
 /// # Errors
 ///
-/// [`FrameError::Oversized`] if the payload exceeds [`MAX_FRAME_LEN`];
-/// otherwise any transport error (including a write timeout, which the
-/// caller must treat as terminal — a partial frame is unrecoverable).
+/// [`FrameError::Oversized`] (with the payload's length, saturated to
+/// `u32`) if the payload exceeds [`MAX_FRAME_LEN`], before anything is
+/// written; otherwise any transport error (including a write timeout,
+/// which the caller must treat as terminal — a partial frame is
+/// unrecoverable).
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&n| n <= MAX_FRAME_LEN)
-        .ok_or(FrameError::Oversized(u32::MAX))?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
+    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(len));
+    }
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()?;
     Ok(())
 }
@@ -280,6 +293,45 @@ mod tests {
             read_frame(&mut cursor),
             Err(FrameError::Oversized(u32::MAX))
         ));
+    }
+
+    /// A sink that counts `write` calls and accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_is_one_write() {
+        let payload = vec![0xA5u8; 16 * 1024];
+        let mut sink = CountingWriter::default();
+        write_frame(&mut sink, &payload).unwrap();
+        assert_eq!(sink.writes, 1);
+        assert_eq!(sink.bytes[..4], (16 * 1024u32).to_le_bytes());
+        assert_eq!(sink.bytes[4..], payload[..]);
+    }
+
+    #[test]
+    fn oversized_write_reports_its_length_and_writes_nothing() {
+        let payload = vec![0u8; MAX_FRAME_LEN as usize + 1];
+        let mut sink = CountingWriter::default();
+        assert!(matches!(
+            write_frame(&mut sink, &payload),
+            Err(FrameError::Oversized(n)) if n == MAX_FRAME_LEN + 1
+        ));
+        assert_eq!(sink.writes, 0);
     }
 
     #[test]

@@ -20,17 +20,19 @@
 //!   `retryable: bool` discriminant: the one bit a remote client needs
 //!   to decide between backing off and giving up.
 //! * [`codec`] — two encodings of the same model: a compact
-//!   little-endian binary codec whose trailing FNV-1a checksum rejects
-//!   **every** single-byte corruption (the
+//!   little-endian binary codec (version 2) whose trailing word-wise
+//!   FNV-1a checksum rejects **every** single-byte corruption (the
 //!   [`KernelArtifact`](../ctgauss_bitslice/artifact/index.html)
-//!   loader's standard, proptest-pinned in `tests/codec_props.rs`), and
+//!   loader's standard, proved in the module docs and proptest-pinned
+//!   in `tests/codec_props.rs`), and
 //!   a strict JSON codec (unknown fields rejected) for debuggability.
 //!   Both decode into identical values — round-trip equivalence is part
 //!   of the test contract.
-//! * [`frame`] — length-prefixed framing and the connection hello that
-//!   negotiates the codec, written against plain `io::Read`/`io::Write`
-//!   with explicit idle/stall semantics so a threaded server can
-//!   implement per-connection read deadlines without desyncing streams.
+//! * [`frame`] — length-prefixed framing (one write per frame) and the
+//!   connection hello that negotiates the codec, written against plain
+//!   `io::Read`/`io::Write` with explicit idle/stall semantics so a
+//!   threaded server can implement per-connection read deadlines
+//!   without desyncing streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

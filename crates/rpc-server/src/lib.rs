@@ -9,9 +9,13 @@
 //!
 //! * the **accept thread** owns the listener and spawns connections
 //!   until drain begins;
-//! * each connection's **reader thread** speaks the hello, then loops
-//!   `read_frame` under a short read timeout (the drain-poll tick),
-//!   decodes, enforces quotas/admission, and submits to the pool;
+//! * each connection's **reader thread** sets `TCP_NODELAY` on the
+//!   accepted socket, speaks the hello, then loops `read_frame` under a
+//!   short read timeout (the drain-poll tick), decodes, enforces
+//!   quotas/admission, and submits to the pool. Without `TCP_NODELAY`,
+//!   Nagle's algorithm holds a response's last partial segment until
+//!   the client's delayed ACK arrives, which stalls a pipelined client
+//!   for tens of milliseconds;
 //! * each connection's **responder thread** drains an in-order work
 //!   queue: immediate replies go straight out, pool tickets are waited
 //!   with [`Ticket::wait_timeout`] against the request's propagated
@@ -49,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -405,14 +410,9 @@ fn accept_loop(
 /// and, on exit, joins the responder — so when this function returns,
 /// every request this connection got accepted has been resolved.
 fn connection(stream: TcpStream, shared: Arc<Shared>) {
-    // Hello under its own (tighter) deadline.
-    if stream
-        .set_read_timeout(Some(shared.cfg.hello_timeout))
-        .is_err()
-    {
+    if prepare_accepted(&stream, &shared.cfg).is_err() {
         return;
     }
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
     let codec_kind = match frame::read_hello(&mut &stream) {
         Ok(kind) => kind,
         Err(_) => return,
@@ -450,6 +450,16 @@ fn connection(stream: TcpStream, shared: Arc<Shared>) {
     // queued work (waiting out every pending ticket) first.
     drop(tx);
     let _ = responder.join();
+}
+
+/// Socket setup for an accepted connection, before the hello:
+/// `TCP_NODELAY` (see the [crate docs](crate)), the hello's own tighter
+/// read deadline, and the per-frame write deadline.
+fn prepare_accepted(stream: &TcpStream, cfg: &ServerConfig) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(cfg.hello_timeout))?;
+    let _ = stream.set_write_timeout(Some(cfg.write_timeout));
+    Ok(())
 }
 
 fn read_loop(
@@ -782,5 +792,20 @@ fn respond_loop(
                 peer_gone = true;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_socket_has_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        prepare_accepted(&accepted, &ServerConfig::default()).unwrap();
+        assert!(accepted.nodelay().unwrap());
     }
 }
