@@ -335,7 +335,7 @@ impl VerifyReport {
 /// # Panics
 ///
 /// Panics if the audit's lane width is invalid (impossible for a
-/// decoded audit — the codecs validate it).
+/// decoded audit — the codec validates it).
 pub fn verify_replay_coalesced(
     seed: u64,
     audit: &ReplayAudit,

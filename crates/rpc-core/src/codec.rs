@@ -1,7 +1,6 @@
-//! Two codecs over one model: a compact binary encoding with a
-//! corruption-rejecting checksum, and a strict JSON encoding for
-//! debuggability. Both are total over the model and decode to identical
-//! values (`tests/codec_props.rs` pins the equivalence).
+//! The wire codec: one compact binary encoding of the model, with a
+//! corruption-rejecting checksum. It is total over the model, and
+//! `tests/codec_props.rs` pins the round trip and the rejections.
 //!
 //! # Binary layout
 //!
@@ -53,18 +52,8 @@
 //! validated against the remaining payload *before* any allocation,
 //! canonical-zero rules are enforced (e.g. `new_epoch` must be 0 unless
 //! the outcome is `Restarted`), and every byte must be consumed.
-//!
-//! # JSON layout
-//!
-//! One object per message, discriminated by `"t"`. Decoding is strict
-//! for this format too: unknown or duplicate keys are rejected, numbers
-//! must be non-negative integers in range, and the same semantic
-//! invariants apply. (Byte-level corruption detection is a binary-codec
-//! property only — JSON has redundant encodings by nature.)
 
 use core::fmt;
-
-use ctgauss_telemetry::json::Json;
 
 use crate::error::{ErrorKind, WireError};
 use crate::model::{
@@ -73,15 +62,17 @@ use crate::model::{
     MAX_SAMPLE_COUNT,
 };
 
-/// Which encoding a connection speaks (negotiated by the hello; see
+/// Which encoding a connection speaks (named by the hello; see
 /// [`frame`](crate::frame)).
+///
+/// Non-exhaustive so that callers matching a decoded hello keep a
+/// catch-all arm, which stays reachable with a single variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[non_exhaustive]
 pub enum CodecKind {
-    /// The checksummed little-endian binary codec (the default).
+    /// The checksummed little-endian binary codec.
     #[default]
     Binary,
-    /// The strict JSON codec.
-    Json,
 }
 
 impl CodecKind {
@@ -89,15 +80,13 @@ impl CodecKind {
     pub fn wire_byte(self) -> u8 {
         match self {
             CodecKind::Binary => 0,
-            CodecKind::Json => 1,
         }
     }
 
-    /// Parses a hello byte.
+    /// Parses a hello byte; every byte but 0 is an unknown codec.
     pub fn from_wire_byte(byte: u8) -> Option<Self> {
         match byte {
             0 => Some(CodecKind::Binary),
-            1 => Some(CodecKind::Json),
             _ => None,
         }
     }
@@ -127,8 +116,6 @@ pub enum DecodeError {
     BadVersion(u8),
     /// The trailing checksum does not match the content.
     ChecksumMismatch,
-    /// The bytes are not valid JSON (JSON codec only).
-    BadJson,
     /// A structural or semantic validation rule failed.
     Malformed(&'static str),
 }
@@ -143,7 +130,6 @@ impl fmt::Display for DecodeError {
                 write!(f, "unsupported codec version {v} (want {BINARY_VERSION})")
             }
             DecodeError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
-            DecodeError::BadJson => write!(f, "payload is not valid JSON"),
             DecodeError::Malformed(what) => write!(f, "malformed payload: {what}"),
         }
     }
@@ -155,7 +141,6 @@ impl std::error::Error for DecodeError {}
 pub fn encode_request(codec: CodecKind, request: &Request) -> Vec<u8> {
     match codec {
         CodecKind::Binary => binary::encode_request(request),
-        CodecKind::Json => json::encode_request(request).into_bytes(),
     }
 }
 
@@ -168,7 +153,6 @@ pub fn encode_request(codec: CodecKind, request: &Request) -> Vec<u8> {
 pub fn decode_request(codec: CodecKind, payload: &[u8]) -> Result<Request, DecodeError> {
     match codec {
         CodecKind::Binary => binary::decode_request(payload),
-        CodecKind::Json => json::decode_request(payload),
     }
 }
 
@@ -176,7 +160,6 @@ pub fn decode_request(codec: CodecKind, payload: &[u8]) -> Result<Request, Decod
 pub fn encode_response(codec: CodecKind, response: &Response) -> Vec<u8> {
     match codec {
         CodecKind::Binary => binary::encode_response(response),
-        CodecKind::Json => json::encode_response(response).into_bytes(),
     }
 }
 
@@ -188,12 +171,10 @@ pub fn encode_response(codec: CodecKind, response: &Response) -> Vec<u8> {
 pub fn decode_response(codec: CodecKind, payload: &[u8]) -> Result<Response, DecodeError> {
     match codec {
         CodecKind::Binary => binary::decode_response(payload),
-        CodecKind::Json => json::decode_response(payload),
     }
 }
 
-/// Semantic bound shared by both codecs: sample counts must be
-/// `1..=MAX_SAMPLE_COUNT`.
+/// Semantic bound: sample counts must be `1..=MAX_SAMPLE_COUNT`.
 fn check_count(count: u32) -> Result<u32, DecodeError> {
     if count == 0 {
         return Err(DecodeError::Malformed("sample count must be positive"));
@@ -204,7 +185,7 @@ fn check_count(count: u32) -> Result<u32, DecodeError> {
     Ok(count)
 }
 
-/// Semantic bound shared by both codecs: lane widths are 1, 2, 4 or 8.
+/// Semantic bound: lane widths are 1, 2, 4 or 8.
 fn check_width(lanes: u8) -> Result<u8, DecodeError> {
     match lanes {
         1 | 2 | 4 | 8 => Ok(lanes),
@@ -212,7 +193,7 @@ fn check_width(lanes: u8) -> Result<u8, DecodeError> {
     }
 }
 
-/// Semantic bound shared by both codecs: profile labels stay short.
+/// Semantic bound: profile labels stay short.
 fn check_label(label: String) -> Result<String, DecodeError> {
     if label.len() > MAX_PROFILE_LABEL_LEN {
         return Err(DecodeError::Malformed("profile label exceeds the maximum"));
@@ -791,568 +772,6 @@ mod binary {
     }
 }
 
-mod json {
-    //! The strict JSON encoding.
-
-    use super::*;
-
-    /// Largest integer `f64` represents exactly; ids/seqs/epochs past
-    /// this cannot travel in JSON without silent rounding, so they are
-    /// rejected on decode (and unrepresentable in honest encodes: they
-    /// would need 2^53 requests).
-    const MAX_SAFE_INT: u64 = 1 << 53;
-
-    pub(super) fn encode_request(request: &Request) -> String {
-        let mut pairs: Vec<(&str, Json)> = Vec::new();
-        match &request.body {
-            RequestBody::Sample {
-                profile,
-                count,
-                deadline_ms,
-            } => {
-                pairs.push(("t", Json::str("sample")));
-                pairs.push(("id", num(request.id)));
-                pairs.push(("profile", num(u64::from(*profile))));
-                pairs.push(("count", num(u64::from(*count))));
-                pairs.push(("deadline_ms", num(u64::from(*deadline_ms))));
-            }
-            RequestBody::Health => {
-                pairs.push(("t", Json::str("health")));
-                pairs.push(("id", num(request.id)));
-            }
-            RequestBody::Stats => {
-                pairs.push(("t", Json::str("stats")));
-                pairs.push(("id", num(request.id)));
-            }
-            RequestBody::ReplayAudit => {
-                pairs.push(("t", Json::str("replay_audit")));
-                pairs.push(("id", num(request.id)));
-            }
-            RequestBody::Ping => {
-                pairs.push(("t", Json::str("ping")));
-                pairs.push(("id", num(request.id)));
-            }
-            RequestBody::Profiles => {
-                pairs.push(("t", Json::str("profiles")));
-                pairs.push(("id", num(request.id)));
-            }
-            RequestBody::AddProfile { sigma, precision } => {
-                pairs.push(("t", Json::str("add_profile")));
-                pairs.push(("id", num(request.id)));
-                pairs.push(("sigma", Json::str(sigma)));
-                pairs.push(("precision", num(u64::from(*precision))));
-            }
-            RequestBody::RetireProfile { profile } => {
-                pairs.push(("t", Json::str("retire_profile")));
-                pairs.push(("id", num(request.id)));
-                pairs.push(("profile", num(u64::from(*profile))));
-            }
-        }
-        Json::obj(pairs).to_string_compact()
-    }
-
-    pub(super) fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
-        let doc = parse(payload)?;
-        let tag = get_str(&doc, "t")?;
-        let id = get_u64(&doc, "id")?;
-        let body = match tag {
-            "sample" => {
-                expect_keys(&doc, &["t", "id", "profile", "count", "deadline_ms"])?;
-                RequestBody::Sample {
-                    profile: get_u32(&doc, "profile")?,
-                    count: check_count(get_u32(&doc, "count")?)?,
-                    deadline_ms: get_u32(&doc, "deadline_ms")?,
-                }
-            }
-            "health" => {
-                expect_keys(&doc, &["t", "id"])?;
-                RequestBody::Health
-            }
-            "stats" => {
-                expect_keys(&doc, &["t", "id"])?;
-                RequestBody::Stats
-            }
-            "replay_audit" => {
-                expect_keys(&doc, &["t", "id"])?;
-                RequestBody::ReplayAudit
-            }
-            "ping" => {
-                expect_keys(&doc, &["t", "id"])?;
-                RequestBody::Ping
-            }
-            "profiles" => {
-                expect_keys(&doc, &["t", "id"])?;
-                RequestBody::Profiles
-            }
-            "add_profile" => {
-                expect_keys(&doc, &["t", "id", "sigma", "precision"])?;
-                RequestBody::AddProfile {
-                    sigma: check_sigma(get_str(&doc, "sigma")?.to_owned())?,
-                    precision: check_precision(get_u32(&doc, "precision")?)?,
-                }
-            }
-            "retire_profile" => {
-                expect_keys(&doc, &["t", "id", "profile"])?;
-                RequestBody::RetireProfile {
-                    profile: get_u32(&doc, "profile")?,
-                }
-            }
-            _ => return Err(DecodeError::Malformed("unknown request tag")),
-        };
-        Ok(Request { id, body })
-    }
-
-    fn shard_to_json(shard: &WireShard) -> Json {
-        Json::obj(vec![
-            (
-                "state",
-                Json::str(match shard.state {
-                    WireShardState::Alive => "alive",
-                    WireShardState::Restarting => "restarting",
-                    WireShardState::Dead => "dead",
-                }),
-            ),
-            ("epoch", num(shard.epoch)),
-            ("restarts", num(u64::from(shard.restarts))),
-            ("abandoned", num(shard.abandoned)),
-        ])
-    }
-
-    fn shard_from_json(value: &Json) -> Result<WireShard, DecodeError> {
-        expect_keys(value, &["state", "epoch", "restarts", "abandoned"])?;
-        let state = match get_str(value, "state")? {
-            "alive" => WireShardState::Alive,
-            "restarting" => WireShardState::Restarting,
-            "dead" => WireShardState::Dead,
-            _ => return Err(DecodeError::Malformed("unknown shard state")),
-        };
-        let epoch = get_u64(value, "epoch")?;
-        if state == WireShardState::Dead && epoch != 0 {
-            return Err(DecodeError::Malformed("dead shard must carry epoch 0"));
-        }
-        Ok(WireShard {
-            state,
-            epoch,
-            restarts: get_u32(value, "restarts")?,
-            abandoned: get_u64(value, "abandoned")?,
-        })
-    }
-
-    fn failure_to_json(failure: &WireFailure) -> Json {
-        Json::obj(vec![
-            ("worker", num(u64::from(failure.worker))),
-            ("epoch", num(failure.epoch)),
-            ("fulfilled", num(failure.fulfilled)),
-            (
-                "abandoned",
-                Json::Arr(failure.abandoned.iter().map(|&s| num(s)).collect()),
-            ),
-            (
-                "outcome",
-                Json::str(match failure.outcome {
-                    WireOutcome::Restarted => "restarted",
-                    WireOutcome::Exhausted => "exhausted",
-                    WireOutcome::ShuttingDown => "shutting_down",
-                }),
-            ),
-            ("new_epoch", num(failure.new_epoch)),
-            ("cause", Json::str(&failure.cause)),
-        ])
-    }
-
-    fn failure_from_json(value: &Json) -> Result<WireFailure, DecodeError> {
-        expect_keys(
-            value,
-            &[
-                "worker",
-                "epoch",
-                "fulfilled",
-                "abandoned",
-                "outcome",
-                "new_epoch",
-                "cause",
-            ],
-        )?;
-        let abandoned_json = value
-            .get("abandoned")
-            .and_then(Json::as_arr)
-            .ok_or(DecodeError::Malformed("abandoned must be an array"))?;
-        let mut abandoned = Vec::with_capacity(abandoned_json.len());
-        for item in abandoned_json {
-            abandoned.push(as_u64(item)?);
-        }
-        if !abandoned.windows(2).all(|w| w[0] < w[1]) {
-            return Err(DecodeError::Malformed(
-                "abandoned seqs must be strictly sorted",
-            ));
-        }
-        let outcome = match get_str(value, "outcome")? {
-            "restarted" => WireOutcome::Restarted,
-            "exhausted" => WireOutcome::Exhausted,
-            "shutting_down" => WireOutcome::ShuttingDown,
-            _ => return Err(DecodeError::Malformed("unknown failure outcome")),
-        };
-        let new_epoch = get_u64(value, "new_epoch")?;
-        if outcome != WireOutcome::Restarted && new_epoch != 0 {
-            return Err(DecodeError::Malformed(
-                "new_epoch must be 0 unless restarted",
-            ));
-        }
-        Ok(WireFailure {
-            worker: get_u32(value, "worker")?,
-            epoch: get_u64(value, "epoch")?,
-            fulfilled: get_u64(value, "fulfilled")?,
-            abandoned,
-            outcome,
-            new_epoch,
-            cause: get_str(value, "cause")?.to_owned(),
-        })
-    }
-
-    fn profile_to_json(profile: &WireProfile) -> Json {
-        Json::obj(vec![
-            ("index", num(u64::from(profile.index))),
-            ("label", Json::str(&profile.label)),
-            ("precision", num(u64::from(profile.precision))),
-            ("retired", Json::Bool(profile.retired)),
-        ])
-    }
-
-    fn profile_from_json(value: &Json) -> Result<WireProfile, DecodeError> {
-        expect_keys(value, &["index", "label", "precision", "retired"])?;
-        Ok(WireProfile {
-            index: get_u32(value, "index")?,
-            label: check_label(get_str(value, "label")?.to_owned())?,
-            precision: get_u32(value, "precision")?,
-            retired: get_bool(value, "retired")?,
-        })
-    }
-
-    pub(super) fn encode_response(response: &Response) -> String {
-        let mut pairs: Vec<(&str, Json)> = Vec::new();
-        match &response.body {
-            ResponseBody::Samples {
-                seq,
-                latency_ns,
-                samples,
-            } => {
-                pairs.push(("t", Json::str("samples")));
-                pairs.push(("id", num(response.id)));
-                pairs.push(("seq", num(*seq)));
-                pairs.push(("latency_ns", num(*latency_ns)));
-                pairs.push((
-                    "samples",
-                    Json::Arr(samples.iter().map(|&s| Json::Num(f64::from(s))).collect()),
-                ));
-            }
-            ResponseBody::Health(health) => {
-                pairs.push(("t", Json::str("health")));
-                pairs.push(("id", num(response.id)));
-                pairs.push((
-                    "shards",
-                    Json::Arr(health.shards.iter().map(shard_to_json).collect()),
-                ));
-            }
-            ResponseBody::Stats { json } => {
-                pairs.push(("t", Json::str("stats")));
-                pairs.push(("id", num(response.id)));
-                pairs.push(("snapshot", Json::str(json)));
-            }
-            ResponseBody::ReplayAudit(audit) => {
-                pairs.push(("t", Json::str("replay_audit")));
-                pairs.push(("id", num(response.id)));
-                pairs.push(("threads", num(u64::from(audit.threads))));
-                pairs.push(("width_lanes", num(u64::from(audit.width_lanes))));
-                pairs.push(("submitted", num(audit.submitted)));
-                pairs.push((
-                    "trace",
-                    Json::Arr(
-                        audit
-                            .trace
-                            .iter()
-                            .map(|e| {
-                                Json::Arr(vec![num(u64::from(e.profile)), num(u64::from(e.count))])
-                            })
-                            .collect(),
-                    ),
-                ));
-                pairs.push((
-                    "failures",
-                    Json::Arr(audit.failures.iter().map(failure_to_json).collect()),
-                ));
-            }
-            ResponseBody::Pong { draining } => {
-                pairs.push(("t", Json::str("pong")));
-                pairs.push(("id", num(response.id)));
-                pairs.push(("draining", Json::Bool(*draining)));
-            }
-            ResponseBody::Profiles(profiles) => {
-                pairs.push(("t", Json::str("profiles")));
-                pairs.push(("id", num(response.id)));
-                pairs.push((
-                    "profiles",
-                    Json::Arr(profiles.iter().map(profile_to_json).collect()),
-                ));
-            }
-            ResponseBody::ProfileAdded { profile } => {
-                pairs.push(("t", Json::str("profile_added")));
-                pairs.push(("id", num(response.id)));
-                pairs.push(("profile", num(u64::from(*profile))));
-            }
-            ResponseBody::ProfileRetired { profile } => {
-                pairs.push(("t", Json::str("profile_retired")));
-                pairs.push(("id", num(response.id)));
-                pairs.push(("profile", num(u64::from(*profile))));
-            }
-            ResponseBody::Error(error) => {
-                pairs.push(("t", Json::str("error")));
-                pairs.push(("id", num(response.id)));
-                pairs.push(("kind", Json::str(error.kind.name())));
-                pairs.push(("retryable", Json::Bool(error.retryable)));
-                pairs.push(("message", Json::str(&error.message)));
-            }
-        }
-        Json::obj(pairs).to_string_compact()
-    }
-
-    pub(super) fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
-        let doc = parse(payload)?;
-        let tag = get_str(&doc, "t")?;
-        let id = get_u64(&doc, "id")?;
-        let body = match tag {
-            "samples" => {
-                expect_keys(&doc, &["t", "id", "seq", "latency_ns", "samples"])?;
-                let raw = doc
-                    .get("samples")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Malformed("samples must be an array"))?;
-                check_count(
-                    u32::try_from(raw.len())
-                        .map_err(|_| DecodeError::Malformed("sample count exceeds the maximum"))?,
-                )?;
-                let mut samples = Vec::with_capacity(raw.len());
-                for item in raw {
-                    samples.push(as_i32(item)?);
-                }
-                ResponseBody::Samples {
-                    seq: get_u64(&doc, "seq")?,
-                    latency_ns: get_u64(&doc, "latency_ns")?,
-                    samples,
-                }
-            }
-            "health" => {
-                expect_keys(&doc, &["t", "id", "shards"])?;
-                let raw = doc
-                    .get("shards")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Malformed("shards must be an array"))?;
-                let mut shards = Vec::with_capacity(raw.len());
-                for item in raw {
-                    shards.push(shard_from_json(item)?);
-                }
-                ResponseBody::Health(WireHealth { shards })
-            }
-            "stats" => {
-                expect_keys(&doc, &["t", "id", "snapshot"])?;
-                ResponseBody::Stats {
-                    json: get_str(&doc, "snapshot")?.to_owned(),
-                }
-            }
-            "replay_audit" => {
-                expect_keys(
-                    &doc,
-                    &[
-                        "t",
-                        "id",
-                        "threads",
-                        "width_lanes",
-                        "submitted",
-                        "trace",
-                        "failures",
-                    ],
-                )?;
-                let threads = get_u32(&doc, "threads")?;
-                if threads == 0 {
-                    return Err(DecodeError::Malformed("audit must report >= 1 thread"));
-                }
-                let width_lanes = check_width(
-                    u8::try_from(get_u32(&doc, "width_lanes")?)
-                        .map_err(|_| DecodeError::Malformed("lane width must be 1, 2, 4 or 8"))?,
-                )?;
-                let submitted = get_u64(&doc, "submitted")?;
-                let raw_trace = doc
-                    .get("trace")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Malformed("trace must be an array"))?;
-                if submitted != raw_trace.len() as u64 {
-                    return Err(DecodeError::Malformed(
-                        "audit submitted count must equal trace length",
-                    ));
-                }
-                let mut trace = Vec::with_capacity(raw_trace.len());
-                for item in raw_trace {
-                    let pair = item
-                        .as_arr()
-                        .ok_or(DecodeError::Malformed("trace entry must be a pair"))?;
-                    if pair.len() != 2 {
-                        return Err(DecodeError::Malformed("trace entry must be a pair"));
-                    }
-                    let profile = u32::try_from(as_u64(&pair[0])?)
-                        .map_err(|_| DecodeError::Malformed("profile out of range"))?;
-                    let count = check_count(u32::try_from(as_u64(&pair[1])?).map_err(|_| {
-                        DecodeError::Malformed("sample count exceeds the maximum")
-                    })?)?;
-                    trace.push(WireTraceEntry { profile, count });
-                }
-                let raw_failures = doc
-                    .get("failures")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Malformed("failures must be an array"))?;
-                let mut failures = Vec::with_capacity(raw_failures.len());
-                for item in raw_failures {
-                    failures.push(failure_from_json(item)?);
-                }
-                ResponseBody::ReplayAudit(ReplayAudit {
-                    threads,
-                    width_lanes,
-                    submitted,
-                    trace,
-                    failures,
-                })
-            }
-            "pong" => {
-                expect_keys(&doc, &["t", "id", "draining"])?;
-                ResponseBody::Pong {
-                    draining: get_bool(&doc, "draining")?,
-                }
-            }
-            "profiles" => {
-                expect_keys(&doc, &["t", "id", "profiles"])?;
-                let raw = doc
-                    .get("profiles")
-                    .and_then(Json::as_arr)
-                    .ok_or(DecodeError::Malformed("profiles must be an array"))?;
-                let mut profiles = Vec::with_capacity(raw.len());
-                for item in raw {
-                    profiles.push(profile_from_json(item)?);
-                }
-                ResponseBody::Profiles(profiles)
-            }
-            "profile_added" => {
-                expect_keys(&doc, &["t", "id", "profile"])?;
-                ResponseBody::ProfileAdded {
-                    profile: get_u32(&doc, "profile")?,
-                }
-            }
-            "profile_retired" => {
-                expect_keys(&doc, &["t", "id", "profile"])?;
-                ResponseBody::ProfileRetired {
-                    profile: get_u32(&doc, "profile")?,
-                }
-            }
-            "error" => {
-                expect_keys(&doc, &["t", "id", "kind", "retryable", "message"])?;
-                let kind = ErrorKind::from_name(get_str(&doc, "kind")?)
-                    .ok_or(DecodeError::Malformed("unknown error kind"))?;
-                ResponseBody::Error(WireError {
-                    kind,
-                    retryable: get_bool(&doc, "retryable")?,
-                    message: get_str(&doc, "message")?.to_owned(),
-                })
-            }
-            _ => return Err(DecodeError::Malformed("unknown response tag")),
-        };
-        Ok(Response { id, body })
-    }
-
-    // --- strict-JSON helpers ---
-
-    fn parse(payload: &[u8]) -> Result<Json, DecodeError> {
-        let text = core::str::from_utf8(payload).map_err(|_| DecodeError::BadJson)?;
-        let doc = Json::parse(text).map_err(|_| DecodeError::BadJson)?;
-        if !matches!(doc, Json::Obj(_)) {
-            return Err(DecodeError::Malformed("message must be a JSON object"));
-        }
-        Ok(doc)
-    }
-
-    /// Rejects unknown and duplicate keys — the strictness that keeps
-    /// the two codecs semantically identical.
-    fn expect_keys(value: &Json, allowed: &[&str]) -> Result<(), DecodeError> {
-        let pairs = value
-            .as_obj()
-            .ok_or(DecodeError::Malformed("expected a JSON object"))?;
-        for (i, (key, _)) in pairs.iter().enumerate() {
-            if !allowed.contains(&key.as_str()) {
-                return Err(DecodeError::Malformed("unknown field"));
-            }
-            if pairs[..i].iter().any(|(k, _)| k == key) {
-                return Err(DecodeError::Malformed("duplicate field"));
-            }
-        }
-        Ok(())
-    }
-
-    fn num(v: u64) -> Json {
-        debug_assert!(v <= MAX_SAFE_INT, "integer exceeds exact f64 range");
-        Json::Num(v as f64)
-    }
-
-    fn as_u64(value: &Json) -> Result<u64, DecodeError> {
-        let x = value
-            .as_f64()
-            .ok_or(DecodeError::Malformed("expected a number"))?;
-        if !x.is_finite() || x.fract() != 0.0 || x < 0.0 || x > MAX_SAFE_INT as f64 {
-            return Err(DecodeError::Malformed(
-                "expected a non-negative integer in exact range",
-            ));
-        }
-        Ok(x as u64)
-    }
-
-    fn as_i32(value: &Json) -> Result<i32, DecodeError> {
-        let x = value
-            .as_f64()
-            .ok_or(DecodeError::Malformed("expected a number"))?;
-        if !x.is_finite() || x.fract() != 0.0 || x < f64::from(i32::MIN) || x > f64::from(i32::MAX)
-        {
-            return Err(DecodeError::Malformed("expected an i32 integer"));
-        }
-        Ok(x as i32)
-    }
-
-    fn get_u64(value: &Json, key: &str) -> Result<u64, DecodeError> {
-        as_u64(
-            value
-                .get(key)
-                .ok_or(DecodeError::Malformed("missing field"))?,
-        )
-    }
-
-    fn get_u32(value: &Json, key: &str) -> Result<u32, DecodeError> {
-        u32::try_from(get_u64(value, key)?)
-            .map_err(|_| DecodeError::Malformed("field out of range"))
-    }
-
-    fn get_str<'a>(value: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
-        value
-            .get(key)
-            .ok_or(DecodeError::Malformed("missing field"))?
-            .as_str()
-            .ok_or(DecodeError::Malformed("expected a string"))
-    }
-
-    fn get_bool(value: &Json, key: &str) -> Result<bool, DecodeError> {
-        match value
-            .get(key)
-            .ok_or(DecodeError::Malformed("missing field"))?
-        {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(DecodeError::Malformed("expected a boolean")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1376,13 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn json_request_round_trips() {
-        let req = sample_request();
-        let bytes = encode_request(CodecKind::Json, &req);
-        assert_eq!(decode_request(CodecKind::Json, &bytes).unwrap(), req);
-    }
-
-    #[test]
     fn zero_count_is_rejected_by_both_codecs() {
         let req = Request {
             id: 1,
@@ -1392,30 +804,10 @@ mod tests {
                 deadline_ms: 0,
             },
         };
-        for codec in [CodecKind::Binary, CodecKind::Json] {
-            let bytes = encode_request(codec, &req);
-            assert!(matches!(
-                decode_request(codec, &bytes),
-                Err(DecodeError::Malformed(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn json_unknown_field_is_rejected() {
-        let payload = br#"{"t":"ping","id":1,"extra":true}"#;
+        let bytes = encode_request(CodecKind::Binary, &req);
         assert_eq!(
-            decode_request(CodecKind::Json, payload),
-            Err(DecodeError::Malformed("unknown field"))
-        );
-    }
-
-    #[test]
-    fn json_duplicate_field_is_rejected() {
-        let payload = br#"{"t":"ping","id":1,"id":2}"#;
-        assert_eq!(
-            decode_request(CodecKind::Json, payload),
-            Err(DecodeError::Malformed("duplicate field"))
+            decode_request(CodecKind::Binary, &bytes),
+            Err(DecodeError::Malformed("sample count must be positive"))
         );
     }
 
@@ -1494,9 +886,14 @@ mod tests {
 
     #[test]
     fn codec_kind_bytes_round_trip() {
-        for kind in [CodecKind::Binary, CodecKind::Json] {
-            assert_eq!(CodecKind::from_wire_byte(kind.wire_byte()), Some(kind));
+        assert_eq!(CodecKind::Binary.wire_byte(), 0);
+        assert_eq!(
+            CodecKind::from_wire_byte(CodecKind::Binary.wire_byte()),
+            Some(CodecKind::Binary)
+        );
+        // Byte 1 named the retired JSON codec; it is unknown now.
+        for byte in [1, 9] {
+            assert_eq!(CodecKind::from_wire_byte(byte), None);
         }
-        assert_eq!(CodecKind::from_wire_byte(9), None);
     }
 }

@@ -96,7 +96,8 @@ impl ErrorKind {
         }
     }
 
-    /// Stable lowercase name (used by the JSON codec and log lines).
+    /// Stable lowercase name, the [`Display`](fmt::Display) form (log
+    /// lines and error messages).
     pub fn name(self) -> &'static str {
         match self {
             ErrorKind::UnknownProfile => "unknown_profile",
@@ -109,22 +110,6 @@ impl ErrorKind {
             ErrorKind::BadRequest => "bad_request",
             ErrorKind::Internal => "internal",
         }
-    }
-
-    /// Parses [`name`](Self::name) back (the JSON codec's inverse).
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "unknown_profile" => ErrorKind::UnknownProfile,
-            "backpressure" => ErrorKind::Backpressure,
-            "shutting_down" => ErrorKind::ShuttingDown,
-            "worker_gone" => ErrorKind::WorkerGone,
-            "deadline_exceeded" => ErrorKind::DeadlineExceeded,
-            "overloaded" => ErrorKind::Overloaded,
-            "quota_exceeded" => ErrorKind::QuotaExceeded,
-            "bad_request" => ErrorKind::BadRequest,
-            "internal" => ErrorKind::Internal,
-            _ => return None,
-        })
     }
 
     /// All kinds, for exhaustive tests and fuzzing strategies.
@@ -262,9 +247,11 @@ mod tests {
     #[test]
     fn names_round_trip_for_every_kind() {
         for kind in ErrorKind::ALL {
-            assert_eq!(ErrorKind::from_name(kind.name()), Some(kind));
+            assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!(ErrorKind::from_name("nope"), None);
+        let names: std::collections::HashSet<_> =
+            ErrorKind::ALL.iter().map(|kind| kind.name()).collect();
+        assert_eq!(names.len(), ErrorKind::ALL.len(), "names must be distinct");
     }
 
     #[test]

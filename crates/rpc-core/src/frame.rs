@@ -1,13 +1,15 @@
 //! Length-prefixed framing over plain `io::Read`/`io::Write`, plus the
-//! connection hello that negotiates the codec.
+//! connection hello that names the codec.
 //!
 //! # Stream layout
 //!
 //! A connection opens with an 8-byte hello from the client —
 //! [`HELLO_MAGIC`] (`b"CTGRPC\0"`) followed by the codec byte
 //! ([`CodecKind::wire_byte`]) — which the server echoes back verbatim to
-//! accept. After the hellos, both directions carry frames: a `u32`
-//! little-endian payload length (at most [`MAX_FRAME_LEN`]) followed by
+//! accept. Only byte 0 (the binary codec) is accepted; byte 1 named a
+//! retired JSON codec and is refused like any other unknown byte. After
+//! the hellos, both directions carry frames: a `u32` little-endian
+//! payload length (at most [`MAX_FRAME_LEN`]) followed by
 //! that many payload bytes. The payload is a codec message
 //! ([`codec`](crate::codec)); framing knows nothing about its contents.
 //! [`write_frame`] sends prefix and payload in one write, so a frame is
@@ -71,7 +73,7 @@ pub enum FrameError {
     /// A frame longer than [`MAX_FRAME_LEN`]: declared by the peer, or
     /// handed to [`write_frame`]. Carries that length.
     Oversized(u32),
-    /// The peer's hello was not [`HELLO_MAGIC`] + a known codec byte.
+    /// The peer's hello was not [`HELLO_MAGIC`] + the binary codec byte.
     BadHello,
 }
 
@@ -237,7 +239,8 @@ pub fn write_hello(writer: &mut impl Write, codec: CodecKind) -> Result<(), Fram
 ///
 /// # Errors
 ///
-/// [`FrameError::BadHello`] on a wrong magic or unknown codec byte,
+/// [`FrameError::BadHello`] on a wrong magic or a codec byte other than
+/// 0,
 /// [`FrameError::Stalled`] on timeout or early close, or a transport
 /// error.
 pub fn read_hello(reader: &mut impl Read) -> Result<CodecKind, FrameError> {
@@ -399,11 +402,14 @@ mod tests {
 
     #[test]
     fn hello_round_trips_for_both_codecs() {
-        for codec in [CodecKind::Binary, CodecKind::Json] {
-            let mut buf = Vec::new();
-            write_hello(&mut buf, codec).unwrap();
-            assert_eq!(read_hello(&mut Cursor::new(buf)).unwrap(), codec);
-        }
+        let mut buf = Vec::new();
+        write_hello(&mut buf, CodecKind::Binary).unwrap();
+        assert_eq!(buf[..7], HELLO_MAGIC);
+        assert_eq!(buf[7], 0);
+        assert_eq!(
+            read_hello(&mut Cursor::new(buf)).unwrap(),
+            CodecKind::Binary
+        );
     }
 
     #[test]
@@ -414,12 +420,18 @@ mod tests {
             read_hello(&mut Cursor::new(wrong_magic.to_vec())),
             Err(FrameError::BadHello)
         ));
-        let mut bad_codec = hello_bytes(CodecKind::Binary);
-        bad_codec[7] = 7;
-        assert!(matches!(
-            read_hello(&mut Cursor::new(bad_codec.to_vec())),
-            Err(FrameError::BadHello)
-        ));
+        // Byte 1 is the retired JSON codec; 7 was never assigned.
+        for byte in [1, 7] {
+            let mut bad_codec = hello_bytes(CodecKind::Binary);
+            bad_codec[7] = byte;
+            assert!(
+                matches!(
+                    read_hello(&mut Cursor::new(bad_codec.to_vec())),
+                    Err(FrameError::BadHello)
+                ),
+                "codec byte {byte}"
+            );
+        }
         assert!(matches!(
             read_hello(&mut Cursor::new(vec![b'C', b'T'])),
             Err(FrameError::Stalled)

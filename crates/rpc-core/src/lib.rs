@@ -19,17 +19,15 @@
 //!   (`Overloaded`, `QuotaExceeded`, …). Each error carries an explicit
 //!   `retryable: bool` discriminant: the one bit a remote client needs
 //!   to decide between backing off and giving up.
-//! * [`codec`] — two encodings of the same model: a compact
-//!   little-endian binary codec (version 2) whose trailing word-wise
-//!   FNV-1a checksum rejects **every** single-byte corruption (the
+//! * [`codec`] — the one encoding of the model: a compact little-endian
+//!   binary codec (version 2) whose trailing word-wise FNV-1a checksum
+//!   rejects **every** single-byte corruption (the
 //!   [`KernelArtifact`](../ctgauss_bitslice/artifact/index.html)
 //!   loader's standard, proved in the module docs and proptest-pinned
-//!   in `tests/codec_props.rs`), and
-//!   a strict JSON codec (unknown fields rejected) for debuggability.
-//!   Both decode into identical values — round-trip equivalence is part
-//!   of the test contract.
+//!   in `tests/codec_props.rs`). Decoding is strict, and encode → decode
+//!   is the identity — part of the test contract.
 //! * [`frame`] — length-prefixed framing (one write per frame) and the
-//!   connection hello that negotiates the codec, written against plain
+//!   connection hello that names the codec, written against plain
 //!   `io::Read`/`io::Write` with explicit idle/stall semantics so a
 //!   threaded server can implement per-connection read deadlines
 //!   without desyncing streams.

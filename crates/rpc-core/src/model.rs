@@ -1,9 +1,9 @@
 //! The request/response model: every message the service understands,
 //! as plain data with strict invariants.
 //!
-//! Messages are small enums; the codecs in [`codec`](crate::codec) are
+//! Messages are small enums; the codec in [`codec`](crate::codec) is
 //! total over them (every constructible value encodes, every encoding
-//! decodes back to an equal value). Invariants the codecs enforce on
+//! decodes back to an equal value). Invariants the codec enforces on
 //! decode — sample counts bounded by [`MAX_SAMPLE_COUNT`], lane widths
 //! in {1, 2, 4, 8}, enum discriminants in range — hold by construction
 //! on the types themselves where Rust can express them.
@@ -351,7 +351,7 @@ impl ReplayAudit {
     /// # Errors
     ///
     /// Returns `None` if `width_lanes` is not 1, 2, 4 or 8 (cannot
-    /// happen for a decoded message — the codecs validate it).
+    /// happen for a decoded message — the codec validates it).
     pub fn width(&self) -> Option<LaneWidth> {
         match self.width_lanes {
             1 => Some(LaneWidth::W1),

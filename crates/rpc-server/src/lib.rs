@@ -433,18 +433,10 @@ fn connection(stream: TcpStream, shared: Arc<Shared>) {
     let responder_inflight = Arc::clone(&conn_inflight);
     let responder = std::thread::Builder::new()
         .name("rpc-responder".into())
-        .spawn(move || {
-            respond_loop(
-                write_half,
-                codec_kind,
-                rx,
-                responder_shared,
-                responder_inflight,
-            )
-        })
+        .spawn(move || respond_loop(write_half, rx, responder_shared, responder_inflight))
         .expect("spawn responder thread");
 
-    read_loop(&stream, codec_kind, &tx, &shared, &conn_inflight);
+    read_loop(&stream, &tx, &shared, &conn_inflight);
 
     // Closing the channel is the responder's stop signal; it drains the
     // queued work (waiting out every pending ticket) first.
@@ -462,13 +454,7 @@ fn prepare_accepted(stream: &TcpStream, cfg: &ServerConfig) -> io::Result<()> {
     Ok(())
 }
 
-fn read_loop(
-    stream: &TcpStream,
-    codec_kind: CodecKind,
-    tx: &Sender<Work>,
-    shared: &Shared,
-    conn_inflight: &AtomicUsize,
-) {
+fn read_loop(stream: &TcpStream, tx: &Sender<Work>, shared: &Shared, conn_inflight: &AtomicUsize) {
     loop {
         if shared.draining.load(Ordering::Acquire) {
             // Drain: stop taking input. Already-accepted work is in the
@@ -492,7 +478,7 @@ fn read_loop(
                 return;
             }
         };
-        let request = match codec::decode_request(codec_kind, &payload) {
+        let request = match codec::decode_request(CodecKind::Binary, &payload) {
             Ok(request) => request,
             Err(error) => {
                 // The frame was well-delimited, so the stream is still
@@ -735,7 +721,6 @@ fn retire_profile_work(shared: &Shared, id: u64, profile: u32) -> Response {
 /// counters never depend on the client's patience.
 fn respond_loop(
     mut stream: TcpStream,
-    codec_kind: CodecKind,
     rx: Receiver<Work>,
     shared: Arc<Shared>,
     conn_inflight: Arc<AtomicUsize>,
@@ -785,7 +770,7 @@ fn respond_loop(
             }
         };
         if !peer_gone {
-            let payload = codec::encode_response(codec_kind, &response);
+            let payload = codec::encode_response(CodecKind::Binary, &response);
             if frame::write_frame(&mut stream, &payload).is_err() {
                 // Keep resolving tickets for the counters; just stop
                 // writing to a dead peer.

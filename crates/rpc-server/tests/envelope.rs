@@ -1,5 +1,6 @@
-//! The overload-survival envelope, end to end over real sockets: both
-//! codecs round-trip through a live server, per-connection quotas and
+//! The overload-survival envelope, end to end over real sockets: two
+//! connections round-trip through a live server, a hello naming an
+//! unknown codec is refused, per-connection quotas and
 //! the global admission limiter shed with the right retryable kinds,
 //! client deadlines propagate into pre-admission refusals (no sequence
 //! number consumed) and post-admission expiries (sequence number
@@ -8,6 +9,8 @@
 //! the counters — and pipelined loads, on a coalescing pool and under
 //! the built-in chaos plan, replay bit for bit from the server's audit.
 
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,7 +23,7 @@ use ctgauss_rpc_client::harness::{
     build_standard_profiles, gen_trace, run_load, verify_replay_coalesced, LoadOptions, TraceLine,
 };
 use ctgauss_rpc_client::{Client, ClientError, ConnectOptions};
-use ctgauss_rpc_core::{CodecKind, ErrorKind, RequestBody, ResponseBody};
+use ctgauss_rpc_core::{frame::HELLO_MAGIC, CodecKind, ErrorKind, RequestBody, ResponseBody};
 use ctgauss_rpc_server::{Server, ServerConfig};
 
 const RPC_TIMEOUT: Duration = Duration::from_secs(30);
@@ -107,8 +110,8 @@ fn assert_replays(fixture: &Fixture, client: &mut Client, pairs: &[(u64, Vec<i32
 fn both_codecs_round_trip_against_a_live_server() {
     let fixture = fixture(2, 64, 41, None, ServerConfig::default());
     let mut received = Vec::new();
-    for codec in [CodecKind::Binary, CodecKind::Json] {
-        let mut client = connect(&fixture, codec);
+    for _ in 0..2 {
+        let mut client = connect(&fixture, CodecKind::Binary);
         assert!(!client.ping(RPC_TIMEOUT).expect("ping"), "not draining");
         let health = client.health(RPC_TIMEOUT).expect("health");
         assert!(health.all_alive());
@@ -145,13 +148,47 @@ fn both_codecs_round_trip_against_a_live_server() {
             "pool health verdict must be surfaced"
         );
     }
-    // Both codecs' draws verify against one audit — same server, same
-    // sequence space.
+    // Both connections' draws verify against one audit — same server,
+    // same sequence space.
     let mut client = connect(&fixture, CodecKind::Binary);
     let audit = client.replay_audit(RPC_TIMEOUT).expect("audit");
     assert_eq!(audit.submitted, 2);
     assert_eq!(audit.threads, 2);
     assert_replays(&fixture, &mut client, &received);
+    assert!(fixture.server.shutdown().lossless());
+}
+
+/// A hello naming an unknown codec is refused: byte 1 (the retired
+/// JSON codec) and a never-assigned byte each get the connection closed
+/// without an echo, and the refusals leave the server serving binary
+/// clients with no sequence number consumed.
+#[test]
+fn unknown_codec_hello_is_refused_without_an_echo() {
+    let fixture = fixture(2, 64, 43, None, ServerConfig::default());
+    for byte in [1u8, 7] {
+        let mut stream = TcpStream::connect(fixture.server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(RPC_TIMEOUT))
+            .expect("read timeout");
+        let mut hello = HELLO_MAGIC.to_vec();
+        hello.push(byte);
+        stream.write_all(&hello).expect("send hello");
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => assert!(reply.is_empty(), "codec byte {byte} got {reply:?}"),
+            Err(error) => assert!(
+                matches!(
+                    error.kind(),
+                    io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted
+                ),
+                "codec byte {byte}: {error} after reading {reply:?}"
+            ),
+        }
+    }
+    let mut client = connect(&fixture, CodecKind::Binary);
+    assert!(!client.ping(RPC_TIMEOUT).expect("ping"), "not draining");
+    let audit = client.replay_audit(RPC_TIMEOUT).expect("audit");
+    assert_eq!(audit.submitted, 0);
     assert!(fixture.server.shutdown().lossless());
 }
 
@@ -186,10 +223,9 @@ fn registry_lifecycle_over_the_wire() {
     let (hot_seq, hot_samples) = client.sample(added, 32, 0).expect("sample new profile");
     assert_eq!(hot_samples.len(), 32);
 
-    // Both codecs see the same registry; JSON exercises the other codec
-    // path for the new message kinds.
-    let mut json_client = connect(&fixture, CodecKind::Json);
-    let listed = json_client.profiles(RPC_TIMEOUT).expect("profiles");
+    // A second connection sees the same registry.
+    let mut other_client = connect(&fixture, CodecKind::Binary);
+    let listed = other_client.profiles(RPC_TIMEOUT).expect("profiles");
     assert_eq!(listed.len(), 2);
     assert_eq!(listed[1].label, "1.5");
     assert_eq!(listed[1].precision, 16);
@@ -199,9 +235,9 @@ fn registry_lifecycle_over_the_wire() {
     ];
 
     // A window-32 pipelined load of tiny (1..=8-sample) requests over
-    // both profiles, the hot-loaded one included, through the JSON
-    // codec: every response replays from the passthrough schedule, and
-    // staging must have ganged requests together.
+    // both profiles, the hot-loaded one included, on the second
+    // connection: every response replays from the passthrough schedule,
+    // and staging must have ganged requests together.
     let mut rng = SplitMix64::new(0xC0A1);
     let trace: Vec<TraceLine> = (0..500)
         .map(|_| TraceLine {
@@ -210,7 +246,7 @@ fn registry_lifecycle_over_the_wire() {
         })
         .collect();
     let report = run_load(
-        &mut json_client,
+        &mut other_client,
         &trace,
         &LoadOptions {
             window: 32,
@@ -220,11 +256,11 @@ fn registry_lifecycle_over_the_wire() {
     )
     .expect("coalesced load");
     assert_eq!(report.fulfilled(), trace.len(), "{:?}", report.failures());
-    let audit = json_client.replay_audit(RPC_TIMEOUT).expect("audit");
+    let audit = other_client.replay_audit(RPC_TIMEOUT).expect("audit");
     assert!(audit.failures.is_empty());
     let verify = verify_replay_coalesced(fixture.seed, &audit, &report.outcomes, &registered);
     assert!(verify.ok(), "{verify:?}");
-    let stats = json_client.stats(RPC_TIMEOUT).expect("stats");
+    let stats = other_client.stats(RPC_TIMEOUT).expect("stats");
     let json = ctgauss_telemetry::json::Json::parse(&stats).expect("stats JSON parses");
     let pool_counter = |name: &str| {
         json.get("pool")
