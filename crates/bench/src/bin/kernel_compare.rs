@@ -1,12 +1,15 @@
-//! Artifact-emitting twin of the `kernel_compare` Criterion bench: the
-//! two execution engines (reference interpreter, tiled superinstruction
-//! engine) raced per 64-sample batch with PRNG excluded, plus every
-//! available lane backend through the dispatched tiled executor.
+//! The two execution engines (reference interpreter, tiled
+//! superinstruction engine) raced per 64-sample batch with PRNG excluded,
+//! plus every available lane backend through the dispatched tiled
+//! executor: best-of-runs wall nanoseconds (the noise-robust estimator;
+//! see `report::measure_ns_floor`), written to `BENCH_kernel_compare.json`
+//! for the CI regression gate.
 //!
-//! The Criterion bench remains the statistically careful local tool;
-//! this binary is the trend line — best-of-runs wall nanoseconds (the
-//! noise-robust estimator; see `report::measure_ns_floor`),
-//! written to `BENCH_kernel_compare.json` for the CI regression gate.
+//! Each profile also records its static dispatch counts, the mechanism
+//! behind the tiled engine's speedup: `{id}_interpreter_ops` (one
+//! dispatch per source op), `{id}_micro_ops` (the lowered instructions)
+//! and `{id}_tiled_dispatches` (one per superinstruction tile). Counts
+//! carry no gated suffix, so the regression gate reports them only.
 //!
 //! ```text
 //! kernel_compare [--smoke]
@@ -47,6 +50,13 @@ fn main() {
         rng.fill_u64s(&mut inputs);
         let signs = rng.next_u64();
 
+        let interpreter_ops = sampler.program().ops().len();
+        let micro_ops = sampler.tiled_kernel().stats().micro_ops;
+        let tiled_dispatches = sampler.tiled_kernel().dispatch_count();
+        report.metric(format!("{id}_interpreter_ops"), interpreter_ops as f64);
+        report.metric(format!("{id}_micro_ops"), micro_ops as f64);
+        report.metric(format!("{id}_tiled_dispatches"), tiled_dispatches as f64);
+
         let interp = measure_ns_floor(runs, || {
             std::hint::black_box(sampler.run_batch_reference(&inputs, signs));
         });
@@ -65,6 +75,7 @@ fn main() {
             interp.to_string(),
             tiled.to_string(),
             format!("{:.2}x", interp as f64 / tiled as f64),
+            format!("{interpreter_ops}/{micro_ops}/{tiled_dispatches}"),
         ]);
 
         // The runtime-dispatched lane backends on pre-generated planar
@@ -94,12 +105,20 @@ fn main() {
                 String::new(),
                 format!("{per_pass} ({per_sample:.1}/sample)"),
                 String::new(),
+                String::new(),
             ]);
         }
     }
     println!("kernel_compare: best-of-runs wall ns per batch, PRNG excluded\n");
     print_table(
-        &["profile", "samples/iter", "interpreter", "tiled", "speedup"],
+        &[
+            "profile",
+            "samples/iter",
+            "interpreter",
+            "tiled",
+            "speedup",
+            "ops/micro/dispatches",
+        ],
         &rows,
     );
     report.write().expect("write BENCH_kernel_compare.json");

@@ -15,7 +15,7 @@
 //! straight-line program lowered once to a fused, register-allocated
 //! kernel — the software analogue of the paper's compiled C) and the gate
 //! counts of both programs, whose ratio is the architecture-independent
-//! reproduction of the improvement. The `kernel_compare` bench measures
+//! reproduction of the improvement. The `kernel_compare` bin measures
 //! how much the lowering buys over the old per-op interpreter.
 //!
 //! Also reproduces the Section 4 claim that the bitsliced sampler beats

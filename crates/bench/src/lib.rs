@@ -1,5 +1,6 @@
-//! Shared harness utilities for the paper-reproduction binaries and
-//! Criterion benches.
+//! Shared harness utilities for the paper-reproduction binaries; the
+//! timing ones write the `BENCH_*.json` artifacts that `bench_regression`
+//! gates.
 //!
 //! Every table and figure of the DAC 2019 paper has a binary in
 //! `src/bin/` that regenerates it; see `DESIGN.md` (experiment index) and

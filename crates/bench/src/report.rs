@@ -332,6 +332,10 @@ mod tests {
         assert_eq!(gate_for("simple_sigma2_cycles"), Gate::HardLowerBetter);
         assert_eq!(gate_for("cold_build_ms"), Gate::WarnLowerBetter);
         assert_eq!(gate_for("batch_fill_ratio"), Gate::Informational);
+        // kernel_compare's static counts are reported, never gated.
+        assert_eq!(gate_for("sigma2_n24_interpreter_ops"), Gate::Informational);
+        assert_eq!(gate_for("sigma2_n24_micro_ops"), Gate::Informational);
+        assert_eq!(gate_for("sigma2_n24_tiled_dispatches"), Gate::Informational);
     }
 
     #[test]

@@ -30,8 +30,6 @@
 //!   AVX-512 / NEON intrinsics plus the always-available portable words),
 //!   selected by CPU feature detection and overridable through the
 //!   `CTGAUSS_FORCE_BACKEND` environment variable.
-//! * [`transpose64`] / pack helpers — the classic bit-matrix transpose used
-//!   to move between sample-per-word and bit-position-per-word layouts.
 //! * [`audit`] / [`audit_tiled`] — static checkers that verify SSA
 //!   well-formedness and that every output is influenced only by declared
 //!   random inputs, for source programs and tiled kernels respectively.
@@ -62,7 +60,6 @@ mod program;
 #[allow(unsafe_code)]
 mod simd;
 mod tile;
-mod transpose;
 
 pub use audit::{audit, audit_tiled, AuditReport};
 pub use compile::compile;
@@ -70,6 +67,3 @@ pub use kernel::{CompiledKernel, Instr, LaneWord, LoweringStats, Opcode};
 pub use program::{interpret, Op, Program};
 pub use simd::{Backend, FORCE_BACKEND_ENV};
 pub use tile::{Tile, TileStats, TiledKernel};
-pub use transpose::{
-    pack_lanes, pack_lanes_scalar, transpose64, unpack_lanes, unpack_lanes_scalar,
-};

@@ -129,14 +129,6 @@ impl BigInt {
         )
     }
 
-    /// `self * v` for a small signed factor.
-    pub fn mul_i64(&self, v: i64) -> BigInt {
-        BigInt::from_sign_magnitude(
-            self.negative != (v < 0),
-            self.magnitude.mul_u64(v.unsigned_abs()),
-        )
-    }
-
     /// `self << bits`.
     pub fn shl(&self, bits: u32) -> BigInt {
         BigInt::from_sign_magnitude(self.negative, self.magnitude.shl(bits))

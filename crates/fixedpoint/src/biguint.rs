@@ -123,16 +123,6 @@ impl BigUint {
         }
     }
 
-    /// Converts to `u128`, returning `None` on overflow.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(u128::from(self.limbs[0])),
-            2 => Some(u128::from(self.limbs[0]) | (u128::from(self.limbs[1]) << 64)),
-            _ => None,
-        }
-    }
-
     /// Nearest `f64` (with the usual 53-bit rounding); `inf` on overflow.
     pub fn to_f64(&self) -> f64 {
         let bits = self.bit_len();

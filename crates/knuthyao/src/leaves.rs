@@ -51,12 +51,6 @@ impl Leaf {
         );
         self.bits.len() - k - 1
     }
-
-    /// The probability of hitting this leaf, `2^-(level+1)`, returned as the
-    /// exponent (`level + 1`).
-    pub fn probability_exponent(&self) -> u32 {
-        self.level + 1
-    }
 }
 
 /// Enumerates every leaf of the DDG tree of `matrix`, level by level.

@@ -282,18 +282,6 @@ pub enum WaitError {
     TimedOut(Ticket),
 }
 
-impl WaitError {
-    /// Collapses to a plain [`PoolError`], dropping a timed-out ticket
-    /// (mapped to [`PoolError::TimedOut`]) — for callers that treat a
-    /// deadline as fatal.
-    pub fn into_pool_error(self) -> PoolError {
-        match self {
-            WaitError::Pool(error) => error,
-            WaitError::TimedOut(_) => PoolError::TimedOut,
-        }
-    }
-}
-
 impl std::fmt::Display for WaitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -715,15 +703,6 @@ impl Pool {
             pool: self.token,
             index,
         })
-    }
-
-    /// Registers an already-built shared sampler at runtime.
-    pub fn add_shared_profile(&self, sampler: Arc<CtSampler>, label: &str) -> ProfileId {
-        let index = self.registry.add(sampler, label.to_owned(), 0);
-        ProfileId {
-            pool: self.token,
-            index,
-        }
     }
 
     /// Retires a profile: new submissions fail with

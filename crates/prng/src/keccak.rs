@@ -84,11 +84,6 @@ impl KeccakF1600 {
         }
     }
 
-    /// Extracts `n` bytes from the beginning of the state.
-    pub fn squeeze_bytes(&self, n: usize, out: &mut Vec<u8>) {
-        self.extract_bytes(0, n, out);
-    }
-
     /// Extracts `n` bytes starting at byte `offset` of the state.
     pub fn extract_bytes(&self, offset: usize, n: usize, out: &mut Vec<u8>) {
         for i in offset..offset + n {
