@@ -58,8 +58,7 @@ fn main() {
     for &(sigma, n) in profiles {
         let spec = SamplerSpec::new(sigma, n);
         let (_, trace) = spec
-            .builder()
-            .build_traced()
+            .build_shared_with(&KernelCache::disabled())
             .expect("paper parameters build");
         for r in &trace.stages {
             println!(

@@ -10,7 +10,7 @@
 //! sampler the timing cannot depend on that distinction.
 
 use ctgauss_bench::print_table;
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::SamplerSpec;
 use ctgauss_dudect::{run_test, Class, DudectConfig};
 use ctgauss_knuthyao::{ColumnScanSampler, GaussianParams, ProbabilityMatrix};
 use ctgauss_prng::{BitBuffer, RandomSource, SplitMix64};
@@ -26,7 +26,7 @@ fn main() {
 
     // 1. Bitsliced constant-time sampler. Random inputs come from a
     // pre-generated pool so the timed region contains only the sampler.
-    let sampler = SamplerBuilder::new("2", 128).build().expect("builds");
+    let sampler = SamplerSpec::new("2", 128).build().expect("builds");
     let mut rng = SplitMix64::new(1);
     let zero = vec![0u64; 128];
     let pool: Vec<Vec<u64>> = (0..256)

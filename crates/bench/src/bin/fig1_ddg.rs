@@ -2,7 +2,7 @@
 //! sigma = 2, n = 6, plus (with `--boolean`) the Figure 2 artifact — the
 //! random-bits-to-sample-bits Boolean functions for a small instance.
 
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{SamplerSpec, Strategy};
 use ctgauss_knuthyao::{enumerate_leaves, DdgTree, GaussianParams, ProbabilityMatrix};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
     if show_boolean {
         println!("\nFigure 2: Boolean functions mapping random bits to sample bits");
         println!("(sigma = 2, n = 8 for readability)\n");
-        let sampler = SamplerBuilder::new("2", 8)
+        let sampler = SamplerSpec::new("2", 8)
             .strategy(Strategy::SplitExact)
             .build()
             .expect("builds");

@@ -2,7 +2,7 @@
 //! split into sublists l_kappa (sigma = 2, n = 16), plus (with
 //! `--explain`) the Figure 4 pipeline walkthrough with stage sizes.
 
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{SamplerSpec, Strategy};
 use ctgauss_knuthyao::{
     delta, enumerate_leaves, max_run_length, GaussianParams, ProbabilityMatrix,
 };
@@ -59,7 +59,7 @@ fn main() {
             "  stage 3: sort + split by k      {} sublists (Delta = {d})",
             np + 1
         );
-        let sampler = SamplerBuilder::new("2", 16)
+        let sampler = SamplerSpec::new("2", 16)
             .strategy(Strategy::SplitExact)
             .build()
             .expect("builds");

@@ -7,7 +7,7 @@
 //! goodness of fit, statistical distance and CSV data alongside the ASCII
 //! plot.
 
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::SamplerSpec;
 use ctgauss_prng::ChaChaRng;
 use ctgauss_stats::{chi_square_test, discrete_gaussian_pmf, statistical_distance, Histogram};
 
@@ -31,7 +31,7 @@ fn main() {
             "\nFigure 5: sigma = {sigma}, {} samples (paper: 64 x 10^7)",
             batches * 64
         );
-        let sampler = SamplerBuilder::new(sigma, 64).build().expect("builds");
+        let sampler = SamplerSpec::new(sigma, 64).build().expect("builds");
         let bound = sampler.matrix().rows() - 1;
         let mut rng = ChaChaRng::from_u64_seed(0xF165);
         let mut hist = Histogram::new(-(bound as i32), bound as i32);

@@ -20,7 +20,7 @@
 
 use ctgauss_bench::print_table;
 use ctgauss_bench::report::{measure_ns_floor, smoke_requested, BenchReport};
-use ctgauss_core::{Backend, SamplerBuilder, Strategy};
+use ctgauss_core::{Backend, SamplerSpec, Strategy};
 use ctgauss_prng::{ChaChaRng, RandomSource};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     let mut rows = Vec::new();
     for &(sigma, n) in configs {
         let id = format!("sigma{}_n{n}", sigma.replace('.', "_"));
-        let sampler = SamplerBuilder::new(sigma, n)
+        let sampler = SamplerSpec::new(sigma, n)
             .strategy(Strategy::SplitExact)
             .build()
             .expect("valid parameters");

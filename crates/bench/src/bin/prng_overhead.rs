@@ -13,11 +13,11 @@
 
 use ctgauss_bench::report::{measure_ns_floor, smoke_requested, BenchReport};
 use ctgauss_bench::{measure_cycles, print_table};
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::SamplerSpec;
 use ctgauss_prng::{ChaCha20, ChaChaRng, KeccakRng, RandomSource};
 
 fn measure_fraction<R: RandomSource>(make: impl Fn() -> R, wide: bool) -> (u64, u64, f64) {
-    let sampler = SamplerBuilder::new("2", 128).build().expect("builds");
+    let sampler = SamplerSpec::new("2", 128).build().expect("builds");
     // Full batch including PRNG.
     let mut rng = make();
     let total = if wide {

@@ -8,7 +8,7 @@
 
 use ctgauss_bench::print_table;
 use ctgauss_cdt::{BinarySearchCdt, ByteScanCdt, CdtTable, LinearSearchCdt};
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::SamplerSpec;
 use ctgauss_knuthyao::{ColumnScanSampler, GaussianParams, ProbabilityMatrix};
 use ctgauss_prng::{BitBuffer, ChaChaRng, CountingSource};
 
@@ -80,7 +80,7 @@ fn main() {
     ));
 
     // Bitsliced constant-time Knuth-Yao: (n + 1) words per 64 samples.
-    let sampler = SamplerBuilder::new(sigma, n).build().expect("builds");
+    let sampler = SamplerSpec::new(sigma, n).build().expect("builds");
     let mut src = CountingSource::new(ChaChaRng::from_u64_seed(5));
     let batches = SAMPLES / 64;
     for _ in 0..batches {

@@ -24,7 +24,7 @@
 use ctgauss_bench::report::{smoke_requested, BenchReport};
 use ctgauss_bench::{cycle_unit, measure_cycles_floor, print_table};
 use ctgauss_cdt::{CdtTable, LinearSearchCdt};
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{SamplerSpec, Strategy};
 use ctgauss_knuthyao::GaussianParams;
 use ctgauss_prng::{ChaChaRng, RandomSource};
 
@@ -49,11 +49,11 @@ fn main() {
     let mut rows = Vec::new();
     for &(sigma, paper_simple, paper_split) in configs {
         eprintln!("[table2] building samplers for sigma = {sigma} (simple takes a while) ...");
-        let split = SamplerBuilder::new(sigma, 128)
+        let split = SamplerSpec::new(sigma, 128)
             .strategy(Strategy::SplitExact)
             .build()
             .expect("valid parameters");
-        let simple = SamplerBuilder::new(sigma, 128)
+        let simple = SamplerSpec::new(sigma, 128)
             .strategy(Strategy::Simple)
             .build()
             .expect("valid parameters");
@@ -109,7 +109,7 @@ fn main() {
     // (full mode only — it needs the sigma = 6.15543 split build).
     if !smoke {
         println!("\nX4 (Section 4): bitsliced vs linear-search CDT per sample, sigma = 6.15543");
-        let split = SamplerBuilder::new("6.15543", 128)
+        let split = SamplerSpec::new("6.15543", 128)
             .strategy(Strategy::SplitExact)
             .build()
             .expect("valid parameters");

@@ -25,7 +25,7 @@
 //! 0       8     magic  "CTGKERN\0"
 //! 8       4     format version (u32) — bump on ANY layout or synthesis
 //!               change; see the policy note below
-//! 12      8     content fingerprint (u64) — the builder's identity of
+//! 12      8     content fingerprint (u64) — the sampler spec's identity of
 //!               the synthesis inputs; the cache addresses files by it
 //! 20      8     payload length (u64)
 //! 28      8     checksum (u64) — FNV-1a over bytes [0, 28) ++ payload

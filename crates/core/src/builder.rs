@@ -1,13 +1,14 @@
-//! The sampler builder: parameters in, compiled constant-time sampler out.
+//! The staged pipeline: a [`SamplerSpec`] in, compiled constant-time
+//! sampler out.
 //!
-//! Since the staged-pipeline refactor, [`SamplerBuilder::build`] runs the
-//! Figure-4 chain as six named passes (see [`SynthStage`]), each timed,
-//! content-fingerprinted, and re-checked against an oracle on a fixed
-//! probe batch before the next pass may run (the `CompiledKernel` IR
-//! through the `TiledKernel` probe that executes it).
-//! [`SamplerBuilder::build_traced`] returns the resulting [`BuildTrace`]
-//! alongside the sampler; the [`KernelCache`](crate::KernelCache) uses
-//! the same trace machinery to record which stages a warm start skipped.
+//! [`build_traced`] runs the Figure-4 chain as six named passes (see
+//! [`SynthStage`]), each timed, content-fingerprinted, and re-checked
+//! against an oracle on a fixed probe batch before the next pass may run
+//! (the `CompiledKernel` IR through the `TiledKernel` probe that executes
+//! it), and returns the resulting [`BuildTrace`] alongside the sampler.
+//! [`SamplerSpec::build`] and the shared builds call it; the
+//! [`KernelCache`](crate::KernelCache) uses the same trace machinery to
+//! record which stages a warm start skipped.
 
 use core::fmt;
 use std::rc::Rc;
@@ -16,13 +17,13 @@ use std::time::Instant;
 use ctgauss_bitslice::{compile, interpret, CompiledKernel, Program, TiledKernel};
 use ctgauss_boolmin::{Cover, Expr, VarState};
 use ctgauss_knuthyao::{
-    delta, enumerate_leaves, max_run_length, ColumnScanSampler, GaussianParams, Leaf, ParamError,
-    ProbabilityMatrix,
+    delta, enumerate_leaves, max_run_length, ColumnScanSampler, Leaf, ParamError, ProbabilityMatrix,
 };
 use ctgauss_prng::{RandomSource, SplitMix64};
 
 use crate::sampler::CtSampler;
-use crate::stages::{spec_fingerprint, BuildTrace, CacheDisposition, Fingerprint, SynthStage};
+use crate::spec::SamplerSpec;
+use crate::stages::{BuildTrace, CacheDisposition, Fingerprint, SynthStage};
 use crate::sublists::{
     combine_sublists, simple_expressions, split_by_run, synthesize_sublist, SublistFunctions,
 };
@@ -49,7 +50,8 @@ impl fmt::Display for Strategy {
     }
 }
 
-/// Errors from [`SamplerBuilder::build`].
+/// Errors from [`SamplerSpec::build`] and the shared builds
+/// ([`SamplerSpec::build_shared`] and its variants).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// Parameter validation failed.
@@ -127,28 +129,6 @@ pub struct BuildReport {
     pub ops: usize,
 }
 
-/// Builder for [`CtSampler`] (the pipeline of Figure 4).
-///
-/// # Examples
-///
-/// ```
-/// use ctgauss_core::{SamplerBuilder, Strategy};
-///
-/// let sampler = SamplerBuilder::new("1.5", 24)
-///     .tail_cut(10)
-///     .strategy(Strategy::SplitExact)
-///     .build()
-///     .unwrap();
-/// assert!(sampler.report().gates > 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SamplerBuilder {
-    sigma: String,
-    precision: u32,
-    tail_cut: u32,
-    strategy: Strategy,
-}
-
 /// The `MinimizedSop` stage's output: per-sublist minimized covers for
 /// the paper's split, or the already-recombined expressions for the
 /// simple baseline (whose minimizer works directly on full-width covers).
@@ -166,157 +146,121 @@ const PROBE_SEED: u64 = 0x1735_0c7b_a11e_5eed;
 /// minimization itself.
 const PROBE_LEAVES: usize = 48;
 
-impl SamplerBuilder {
-    /// Starts a builder for standard deviation `sigma` (exact decimal
-    /// literal) and probability precision `n` bits.
-    pub fn new(sigma: &str, precision: u32) -> Self {
-        SamplerBuilder {
-            sigma: sigma.to_owned(),
-            precision,
-            tail_cut: GaussianParams::DEFAULT_TAIL_CUT,
-            strategy: Strategy::SplitExact,
+/// Runs the full pipeline for `spec`: matrix, list `L`, sublist split,
+/// Boolean minimization, Equation 2 recombination, bitslice compilation
+/// and both kernel lowerings, returning the sampler with the pipeline's
+/// [`BuildTrace`] (per-stage wall time, content fingerprints, skip flags;
+/// [`CacheDisposition::Bypassed`]).
+///
+/// # Errors
+///
+/// Returns [`BuildError::Params`] for invalid `(sigma, n, tau)` and
+/// [`BuildError::StageInvariant`] if any stage fails its probe check.
+pub(crate) fn build_traced(spec: &SamplerSpec) -> Result<(CtSampler, BuildTrace), BuildError> {
+    let mut trace = BuildTrace::new(CacheDisposition::Bypassed);
+
+    // Stage 1: Spec — the value identity seeding every fingerprint.
+    let t = Instant::now();
+    let spec_fp = spec.fingerprint();
+    trace.push(SynthStage::Spec, spec_fp, t.elapsed(), true);
+
+    // Stage 2: ProbTables — probability matrix and the leaf list L.
+    let t = Instant::now();
+    let params = spec.params()?;
+    let matrix = ProbabilityMatrix::build(&params)?;
+    let leaves = enumerate_leaves(&matrix);
+    if leaves.is_empty() {
+        return Err(BuildError::EmptyDistribution);
+    }
+    let n = matrix.precision();
+    let sample_bits = matrix.sample_bits();
+    let d = delta(&leaves);
+    let max_run = max_run_length(&leaves);
+    let tables_fp = tables_fingerprint(spec_fp, &matrix, &leaves);
+    trace.push(SynthStage::ProbTables, tables_fp, t.elapsed(), true);
+
+    // Stage 3: MinimizedSop — the expensive offline minimization.
+    let t = Instant::now();
+    let (sop, sublist_infos) = match spec.strategy {
+        Strategy::SplitExact => {
+            let split = split_by_run(&leaves, max_run);
+            let sublists: Vec<SublistFunctions> = split
+                .iter()
+                .enumerate()
+                .map(|(kappa, sl)| {
+                    let kappa = kappa as u32;
+                    let window = d.min(n - kappa - 1);
+                    synthesize_sublist(kappa, sl, window, sample_bits)
+                })
+                .collect();
+            let infos = sublists
+                .iter()
+                .map(|s| SublistInfo {
+                    kappa: s.kappa,
+                    leaves: s.leaves,
+                    window: s.window,
+                    literals: s.literal_count(),
+                    exact: s.exact,
+                })
+                .collect();
+            (Sop::Split(sublists), infos)
         }
+        Strategy::Simple => (
+            Sop::Simple(simple_expressions(&leaves, n, sample_bits)),
+            Vec::new(),
+        ),
+    };
+    probe_sop(&sop, &leaves, n)?;
+    let sop_fp = sop_fingerprint(tables_fp, &sop);
+    trace.push(SynthStage::MinimizedSop, sop_fp, t.elapsed(), true);
+
+    // Stage 4: Program — Equation-2 recombination + hash-consed
+    // compilation to straight-line SSA.
+    let t = Instant::now();
+    let exprs = match &sop {
+        Sop::Split(sublists) => combine_sublists(sublists, sample_bits),
+        Sop::Simple(exprs) => exprs.clone(),
+    };
+    let program = compile(&exprs, n);
+    probe_program(&program, &matrix)?;
+    let program_fp = program_fingerprint(sop_fp, &program);
+    trace.push(SynthStage::Program, program_fp, t.elapsed(), true);
+
+    // Stage 5: CompiledKernel — the optimizing lowering. It is an IR,
+    // not an engine: its probe is the tiled stage's, which executes
+    // exactly this instruction list, and it is dropped once tiled.
+    let t = Instant::now();
+    let kernel = CompiledKernel::lower(&program);
+    let kernel_fp = kernel_fingerprint(program_fp, &kernel);
+    trace.push(SynthStage::CompiledKernel, kernel_fp, t.elapsed(), true);
+
+    // Stage 6: TiledKernel — superinstruction re-lowering. The tile
+    // stream must decode back to exactly the compiled instruction
+    // list, which gates the `CompiledKernel` stage too.
+    let t = Instant::now();
+    let tiled = TiledKernel::lower(&kernel);
+    if tiled.micro_instrs() != kernel.instrs() {
+        return Err(BuildError::StageInvariant(SynthStage::TiledKernel));
     }
+    drop(kernel);
+    probe_tiled(&tiled, &program)?;
+    let tiled_fp = tiled_fingerprint(kernel_fp, &tiled);
+    trace.push(SynthStage::TiledKernel, tiled_fp, t.elapsed(), true);
 
-    /// Sets the tail-cut factor `tau` (default 13, as in the paper).
-    #[must_use]
-    pub fn tail_cut(mut self, tau: u32) -> Self {
-        self.tail_cut = tau;
-        self
+    let report = BuildReport {
+        strategy: spec.strategy,
+        leaves: leaves.len(),
+        delta: d,
+        max_run,
+        sublists: sublist_infos,
+        gates: program.gate_count(),
+        ops: program.ops().len(),
+    };
+    let sampler = CtSampler::from_parts(program, tiled, matrix, report);
+    for rec in &trace.stages {
+        crate::metrics::record_stage(rec.stage, rec.duration);
     }
-
-    /// Sets the minimization strategy (default [`Strategy::SplitExact`]).
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Runs the full pipeline: matrix, list `L`, sublist split, Boolean
-    /// minimization, Equation 2 recombination, bitslice compilation and
-    /// both kernel lowerings.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Params`] for invalid `(sigma, n, tau)` and
-    /// [`BuildError::StageInvariant`] if any stage fails its probe check.
-    pub fn build(&self) -> Result<CtSampler, BuildError> {
-        Ok(self.build_traced()?.0)
-    }
-
-    /// [`build`](Self::build), additionally returning the staged
-    /// pipeline's [`BuildTrace`] (per-stage wall time, content
-    /// fingerprints, skip flags).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`build`](Self::build).
-    pub fn build_traced(&self) -> Result<(CtSampler, BuildTrace), BuildError> {
-        let mut trace = BuildTrace::new(CacheDisposition::Bypassed);
-
-        // Stage 1: Spec — the value identity seeding every fingerprint.
-        let t = Instant::now();
-        let spec_fp = spec_fingerprint(&self.sigma, self.precision, self.tail_cut, self.strategy);
-        trace.push(SynthStage::Spec, spec_fp, t.elapsed(), true);
-
-        // Stage 2: ProbTables — probability matrix and the leaf list L.
-        let t = Instant::now();
-        let params = GaussianParams::new(&self.sigma, self.precision, self.tail_cut)?;
-        let matrix = ProbabilityMatrix::build(&params)?;
-        let leaves = enumerate_leaves(&matrix);
-        if leaves.is_empty() {
-            return Err(BuildError::EmptyDistribution);
-        }
-        let n = matrix.precision();
-        let sample_bits = matrix.sample_bits();
-        let d = delta(&leaves);
-        let max_run = max_run_length(&leaves);
-        let tables_fp = tables_fingerprint(spec_fp, &matrix, &leaves);
-        trace.push(SynthStage::ProbTables, tables_fp, t.elapsed(), true);
-
-        // Stage 3: MinimizedSop — the expensive offline minimization.
-        let t = Instant::now();
-        let (sop, sublist_infos) = match self.strategy {
-            Strategy::SplitExact => {
-                let split = split_by_run(&leaves, max_run);
-                let sublists: Vec<SublistFunctions> = split
-                    .iter()
-                    .enumerate()
-                    .map(|(kappa, sl)| {
-                        let kappa = kappa as u32;
-                        let window = d.min(n - kappa - 1);
-                        synthesize_sublist(kappa, sl, window, sample_bits)
-                    })
-                    .collect();
-                let infos = sublists
-                    .iter()
-                    .map(|s| SublistInfo {
-                        kappa: s.kappa,
-                        leaves: s.leaves,
-                        window: s.window,
-                        literals: s.literal_count(),
-                        exact: s.exact,
-                    })
-                    .collect();
-                (Sop::Split(sublists), infos)
-            }
-            Strategy::Simple => (
-                Sop::Simple(simple_expressions(&leaves, n, sample_bits)),
-                Vec::new(),
-            ),
-        };
-        probe_sop(&sop, &leaves, n)?;
-        let sop_fp = sop_fingerprint(tables_fp, &sop);
-        trace.push(SynthStage::MinimizedSop, sop_fp, t.elapsed(), true);
-
-        // Stage 4: Program — Equation-2 recombination + hash-consed
-        // compilation to straight-line SSA.
-        let t = Instant::now();
-        let exprs = match &sop {
-            Sop::Split(sublists) => combine_sublists(sublists, sample_bits),
-            Sop::Simple(exprs) => exprs.clone(),
-        };
-        let program = compile(&exprs, n);
-        probe_program(&program, &matrix)?;
-        let program_fp = program_fingerprint(sop_fp, &program);
-        trace.push(SynthStage::Program, program_fp, t.elapsed(), true);
-
-        // Stage 5: CompiledKernel — the optimizing lowering. It is an IR,
-        // not an engine: its probe is the tiled stage's, which executes
-        // exactly this instruction list, and it is dropped once tiled.
-        let t = Instant::now();
-        let kernel = CompiledKernel::lower(&program);
-        let kernel_fp = kernel_fingerprint(program_fp, &kernel);
-        trace.push(SynthStage::CompiledKernel, kernel_fp, t.elapsed(), true);
-
-        // Stage 6: TiledKernel — superinstruction re-lowering. The tile
-        // stream must decode back to exactly the compiled instruction
-        // list, which gates the `CompiledKernel` stage too.
-        let t = Instant::now();
-        let tiled = TiledKernel::lower(&kernel);
-        if tiled.micro_instrs() != kernel.instrs() {
-            return Err(BuildError::StageInvariant(SynthStage::TiledKernel));
-        }
-        drop(kernel);
-        probe_tiled(&tiled, &program)?;
-        let tiled_fp = tiled_fingerprint(kernel_fp, &tiled);
-        trace.push(SynthStage::TiledKernel, tiled_fp, t.elapsed(), true);
-
-        let report = BuildReport {
-            strategy: self.strategy,
-            leaves: leaves.len(),
-            delta: d,
-            max_run,
-            sublists: sublist_infos,
-            gates: program.gate_count(),
-            ops: program.ops().len(),
-        };
-        let sampler = CtSampler::from_parts(program, tiled, matrix, report);
-        for rec in &trace.stages {
-            crate::metrics::record_stage(rec.stage, rec.duration);
-        }
-        Ok((sampler, trace))
-    }
+    Ok((sampler, trace))
 }
 
 /// The fixed probe batch: `n` bit-plane words, 64 lanes of pseudorandom
@@ -566,7 +510,7 @@ mod tests {
     #[test]
     fn build_both_strategies() {
         for strategy in [Strategy::SplitExact, Strategy::Simple] {
-            let s = SamplerBuilder::new("2", 12)
+            let s = SamplerSpec::new("2", 12)
                 .strategy(strategy)
                 .build()
                 .unwrap();
@@ -577,7 +521,7 @@ mod tests {
 
     #[test]
     fn split_reports_sublists() {
-        let s = SamplerBuilder::new("2", 16).build().unwrap();
+        let s = SamplerSpec::new("2", 16).build().unwrap();
         let r = s.report();
         assert_eq!(r.sublists.len() as u32, r.max_run + 1);
         let total: usize = r.sublists.iter().map(|s| s.leaves).sum();
@@ -587,7 +531,7 @@ mod tests {
 
     #[test]
     fn simple_reports_no_sublists() {
-        let s = SamplerBuilder::new("2", 10)
+        let s = SamplerSpec::new("2", 10)
             .strategy(Strategy::Simple)
             .build()
             .unwrap();
@@ -597,15 +541,15 @@ mod tests {
     #[test]
     fn invalid_params_propagate() {
         assert!(matches!(
-            SamplerBuilder::new("0.1", 16).build(),
+            SamplerSpec::new("0.1", 16).build(),
             Err(BuildError::Params(ParamError::SigmaTooSmall))
         ));
         assert!(matches!(
-            SamplerBuilder::new("x", 16).build(),
+            SamplerSpec::new("x", 16).build(),
             Err(BuildError::Params(ParamError::InvalidSigma(_)))
         ));
         assert!(matches!(
-            SamplerBuilder::new("2", 1).build(),
+            SamplerSpec::new("2", 1).build(),
             Err(BuildError::Params(ParamError::InvalidPrecision(1)))
         ));
     }
@@ -614,7 +558,7 @@ mod tests {
     fn split_has_fewer_gates_than_tree_size() {
         // The shared prefix chains must keep the program compact: gates
         // should be well below (sublists x outputs x window cubes) blowup.
-        let s = SamplerBuilder::new("2", 24).build().unwrap();
+        let s = SamplerSpec::new("2", 24).build().unwrap();
         let r = s.report();
         assert!(
             r.gates < 20_000,
@@ -626,7 +570,7 @@ mod tests {
 
     #[test]
     fn trace_records_every_stage_in_order() {
-        let (_, trace) = SamplerBuilder::new("2", 14).build_traced().unwrap();
+        let (_, trace) = build_traced(&SamplerSpec::new("2", 14)).unwrap();
         let stages: Vec<SynthStage> = trace.stages.iter().map(|r| r.stage).collect();
         assert_eq!(stages, SynthStage::ALL.to_vec());
         assert!(trace.stages.iter().all(|r| r.ran));
@@ -635,7 +579,7 @@ mod tests {
 
     #[test]
     fn stage_fingerprints_chain_and_differ() {
-        let (_, trace) = SamplerBuilder::new("2", 14).build_traced().unwrap();
+        let (_, trace) = build_traced(&SamplerSpec::new("2", 14)).unwrap();
         let fps: Vec<u64> = trace.stages.iter().map(|r| r.fingerprint).collect();
         let mut dedup = fps.clone();
         dedup.sort_unstable();
@@ -648,8 +592,8 @@ mod tests {
         // HashMap/HashSet iteration order differs per thread; the boolmin
         // determinism fix plus the RandomState-free fingerprints must
         // make traces identical anyway — the cache key depends on it.
-        let fps = |b: &SamplerBuilder| -> Vec<u64> {
-            b.build_traced()
+        let fps = |spec: &SamplerSpec| -> Vec<u64> {
+            build_traced(spec)
                 .unwrap()
                 .1
                 .stages
@@ -658,10 +602,10 @@ mod tests {
                 .collect()
         };
         for strategy in [Strategy::SplitExact, Strategy::Simple] {
-            let builder = SamplerBuilder::new("2", 14).strategy(strategy);
-            let here = fps(&builder);
-            let b2 = builder.clone();
-            let there = std::thread::spawn(move || fps(&b2)).join().unwrap();
+            let spec = SamplerSpec::new("2", 14).strategy(strategy);
+            let here = fps(&spec);
+            let spec2 = spec.clone();
+            let there = std::thread::spawn(move || fps(&spec2)).join().unwrap();
             assert_eq!(
                 here, there,
                 "{strategy}: fingerprints diverged across threads"
@@ -672,8 +616,7 @@ mod tests {
     #[test]
     fn different_specs_have_different_final_fingerprints() {
         let fp = |sigma: &str, n: u32| {
-            SamplerBuilder::new(sigma, n)
-                .build_traced()
+            build_traced(&SamplerSpec::new(sigma, n))
                 .unwrap()
                 .1
                 .fingerprint()

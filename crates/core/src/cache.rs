@@ -47,10 +47,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ctgauss_bitslice::artifact::{self, ByteReader, ByteWriter, KernelArtifact};
-use ctgauss_knuthyao::{GaussianParams, ProbabilityMatrix};
+use ctgauss_knuthyao::ProbabilityMatrix;
 
 use crate::builder::{probe_program, probe_tiled, BuildReport, Strategy, SublistInfo};
 use crate::sampler::CtSampler;
+use crate::spec::SamplerSpec;
 use crate::stages::{BuildTrace, CacheDisposition, SynthStage};
 
 /// File extension of cache entries.
@@ -294,22 +295,19 @@ pub(crate) fn decode_meta(meta: &[u8]) -> Option<([u64; 6], BuildReport)> {
     ))
 }
 
-/// Attempts a warm start: load, validate and re-probe the artifact under
-/// `spec_fp`, rebuilding only the probability tables in-process. `None`
-/// on any miss or doubt — the caller falls back to full synthesis.
+/// Attempts a warm start: load, validate and re-probe the artifact stored
+/// under `spec`'s fingerprint, rebuilding only the probability tables
+/// in-process. `None` on any miss or doubt — the caller falls back to
+/// full synthesis.
 pub(crate) fn load_sampler(
     cache: &KernelCache,
-    spec_fp: u64,
-    sigma: &str,
-    precision: u32,
-    tail_cut: u32,
-    strategy: Strategy,
+    spec: &SamplerSpec,
 ) -> Option<(CtSampler, BuildTrace)> {
-    let bytes = cache.load_bytes(spec_fp)?;
+    let bytes = cache.load_bytes(spec.fingerprint())?;
     // Bytes came off disk: from here on, any rejection is a
     // *revalidation* failure (corruption, staleness, a foreign entry) —
     // counted separately from plain misses.
-    let loaded = validate_and_probe(&bytes, spec_fp, sigma, precision, tail_cut, strategy);
+    let loaded = validate_and_probe(&bytes, spec);
     if loaded.is_none() {
         crate::metrics::CACHE_REVALIDATION_FAILURES.inc();
     }
@@ -318,28 +316,21 @@ pub(crate) fn load_sampler(
 
 /// The trusting-nothing half of [`load_sampler`]: structural validation,
 /// probe-batch re-checks, and trace reconstruction.
-fn validate_and_probe(
-    bytes: &[u8],
-    spec_fp: u64,
-    sigma: &str,
-    precision: u32,
-    tail_cut: u32,
-    strategy: Strategy,
-) -> Option<(CtSampler, BuildTrace)> {
+fn validate_and_probe(bytes: &[u8], spec: &SamplerSpec) -> Option<(CtSampler, BuildTrace)> {
+    let spec_fp = spec.fingerprint();
     let artifact = KernelArtifact::from_bytes(bytes).ok()?;
     if artifact.fingerprint() != spec_fp {
         return None;
     }
     let (stage_fps, report) = decode_meta(artifact.meta())?;
-    if stage_fps[0] != spec_fp || report.strategy != strategy {
+    if stage_fps[0] != spec_fp || report.strategy != spec.strategy {
         return None;
     }
 
     // Re-run the cheap ProbTables stage: the artifact replaces the
     // synthesis stages, not the distribution tables the sampler carries.
     let tables_start = Instant::now();
-    let params = GaussianParams::new(sigma, precision, tail_cut).ok()?;
-    let matrix = ProbabilityMatrix::build(&params).ok()?;
+    let matrix = ProbabilityMatrix::build(&spec.params().ok()?).ok()?;
     let tables_time = tables_start.elapsed();
     crate::metrics::record_stage(SynthStage::ProbTables, tables_time);
 
@@ -358,37 +349,34 @@ fn validate_and_probe(
     probe_program(&program, &matrix).ok()?;
     probe_tiled(&tiled, &program).ok()?;
 
+    // Spec and ProbTables ran here; every later stage came off disk.
     let mut trace = BuildTrace::new(CacheDisposition::Hit);
-    for (i, stage) in SynthStage::ALL.into_iter().enumerate() {
-        let (duration, ran) = match stage {
-            SynthStage::Spec | SynthStage::ProbTables => (
-                if stage == SynthStage::ProbTables {
-                    tables_time
-                } else {
-                    Default::default()
-                },
-                true,
-            ),
-            _ => (Default::default(), false),
+    for (stage, fp) in SynthStage::ALL.into_iter().zip(stage_fps) {
+        let ran = matches!(stage, SynthStage::Spec | SynthStage::ProbTables);
+        let duration = if stage == SynthStage::ProbTables {
+            tables_time
+        } else {
+            Default::default()
         };
-        trace.push(stage, stage_fps[i], duration, ran);
+        trace.push(stage, fp, duration, ran);
     }
 
     let sampler = CtSampler::from_parts(program, tiled, matrix, report);
     Some((sampler, trace))
 }
 
-/// Serializes a freshly built sampler and writes it under `spec_fp`.
-/// Returns whether the entry landed on disk.
+/// Serializes a freshly built sampler and writes it under `spec`'s
+/// fingerprint. Returns whether the entry landed on disk.
 pub(crate) fn store_sampler(
     cache: &KernelCache,
-    spec_fp: u64,
+    spec: &SamplerSpec,
     sampler: &CtSampler,
     trace: &BuildTrace,
 ) -> bool {
     if !cache.is_enabled() {
         return false;
     }
+    let spec_fp = spec.fingerprint();
     let meta = encode_meta(trace, sampler.report());
     // The borrowing encoder: the sampler keeps its kernel, nothing is
     // cloned for the write-back.
@@ -467,13 +455,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_equals_direct_builder_build() {
+    fn warm_equals_direct_build() {
         let cache = scratch_cache("warm-vs-fresh");
         let spec = SamplerSpec::new("2", 16).tail_cut(10);
         let _ = spec.build_shared_with(&cache).unwrap();
         let (warm, trace) = spec.build_shared_with(&cache).unwrap();
         assert_eq!(trace.cache, CacheDisposition::Hit);
-        let fresh = spec.builder().build().unwrap();
+        let fresh = spec.build().unwrap();
         assert_eq!(stream(&warm, 99), stream(&fresh, 99));
         let _ = fs::remove_dir_all(cache.dir().unwrap());
     }
@@ -609,7 +597,7 @@ mod tests {
     #[test]
     fn meta_round_trips() {
         let spec = SamplerSpec::new("2", 12);
-        let (sampler, trace) = spec.builder().build_traced().unwrap();
+        let (sampler, trace) = spec.build_shared_with(&KernelCache::disabled()).unwrap();
         let meta = encode_meta(&trace, sampler.report());
         let (fps, report) = decode_meta(&meta).unwrap();
         for (i, stage) in SynthStage::ALL.into_iter().enumerate() {

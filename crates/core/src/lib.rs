@@ -3,8 +3,10 @@
 //!
 //! # What this implements
 //!
-//! Given a standard deviation `sigma`, precision `n` and tail cut `tau`, the
-//! [`SamplerBuilder`] runs the full pipeline of Figure 4:
+//! A [`SamplerSpec`] holds the one parameter set — standard deviation
+//! `sigma`, precision `n`, tail cut `tau` and the minimization
+//! [`Strategy`] — and [`SamplerSpec::build`] runs the full pipeline of
+//! Figure 4:
 //!
 //! 1. build the Knuth-Yao probability matrix and enumerate the list `L` of
 //!    sample-generating random bit strings ([`ctgauss_knuthyao`]);
@@ -35,21 +37,20 @@
 //! The chain runs as an explicit staged pipeline ([`SynthStage`]:
 //! `Spec → ProbTables → MinimizedSop → Program → CompiledKernel →
 //! TiledKernel`) — each pass timed, content-fingerprinted and re-checked
-//! against an oracle on a fixed probe batch
-//! ([`SamplerBuilder::build_traced`] returns the [`BuildTrace`]). Because
-//! synthesis is deterministic and fingerprints are stable across
-//! processes, [`SamplerSpec::build_shared`] can cold-start from a
-//! content-addressed [`KernelCache`] of serialized artifacts
-//! ([`ctgauss_bitslice::artifact`]), skipping minimization and lowering
-//! entirely when a valid precompiled kernel exists on disk.
+//! against an oracle on a fixed probe batch (the shared builds return the
+//! [`BuildTrace`]). Because synthesis is deterministic and fingerprints
+//! are stable across processes, [`SamplerSpec::build_shared`] can
+//! cold-start from a content-addressed [`KernelCache`] of serialized
+//! artifacts ([`ctgauss_bitslice::artifact`]), skipping minimization and
+//! lowering entirely when a valid precompiled kernel exists on disk.
 //!
 //! # Examples
 //!
 //! ```
-//! use ctgauss_core::{SamplerBuilder, Strategy};
+//! use ctgauss_core::{SamplerSpec, Strategy};
 //! use ctgauss_prng::ChaChaRng;
 //!
-//! let sampler = SamplerBuilder::new("2", 32)
+//! let sampler = SamplerSpec::new("2", 32)
 //!     .tail_cut(13)
 //!     .strategy(Strategy::SplitExact)
 //!     .build()
@@ -70,7 +71,7 @@ mod spec;
 mod stages;
 mod sublists;
 
-pub use builder::{BuildError, BuildReport, SamplerBuilder, Strategy, SublistInfo};
+pub use builder::{BuildError, BuildReport, Strategy, SublistInfo};
 pub use cache::{inject_load_failures, injected_load_failure_hits, KernelCache};
 // Re-exported so service layers can pick lane backends without a direct
 // bitslice dependency.

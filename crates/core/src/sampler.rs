@@ -53,15 +53,16 @@ pub(crate) const MAX_SAMPLE_BITS: usize = 31;
 /// * [`sample_into`](Self::sample_into) equals the prefix of repeated
 ///   [`sample_batch`](Self::sample_batch) calls.
 ///
-/// Construct through [`SamplerBuilder`](crate::SamplerBuilder).
+/// Construct through [`SamplerSpec::build`](crate::SamplerSpec::build) or
+/// the shared builds.
 ///
 /// # Examples
 ///
 /// ```
-/// use ctgauss_core::SamplerBuilder;
+/// use ctgauss_core::SamplerSpec;
 /// use ctgauss_prng::ChaChaRng;
 ///
-/// let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+/// let sampler = SamplerSpec::new("2", 24).build().unwrap();
 /// let mut rng = ChaChaRng::from_u64_seed(42);
 /// // Batch API:
 /// let batch = sampler.sample_batch(&mut rng);
@@ -133,9 +134,9 @@ impl LaneScratch {
 
 impl CtSampler {
     /// Assembles a sampler from the staged pipeline's products — freshly
-    /// synthesized by [`SamplerBuilder::build`](crate::SamplerBuilder) or
+    /// synthesized by [`SamplerSpec::build`](crate::SamplerSpec::build) or
     /// deserialized from a validated cache artifact. Both paths hand in
-    /// the same (program, tiled) pair, which the builder's probe checks /
+    /// the same (program, tiled) pair, which the pipeline's probe checks /
     /// the artifact loader have already proven coherent.
     pub(crate) fn from_parts(
         program: Program,
@@ -536,7 +537,7 @@ impl SampleStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SamplerBuilder, Strategy};
+    use crate::{SamplerSpec, Strategy};
     use ctgauss_bitslice::CompiledKernel;
     use ctgauss_knuthyao::{enumerate_leaves, ColumnScanSampler};
     use ctgauss_prng::{ChaChaRng, SplitMix64};
@@ -546,7 +547,7 @@ mod tests {
     /// between the constant-time program and Algorithm 1. Checks both the
     /// tiled kernel and the interpreter oracle.
     fn check_program_matches_leaves(strategy: Strategy, sigma: &str, n: u32) {
-        let sampler = SamplerBuilder::new(sigma, n)
+        let sampler = SamplerSpec::new(sigma, n)
             .strategy(strategy)
             .build()
             .unwrap();
@@ -600,7 +601,7 @@ mod tests {
             ("2", 14, Strategy::Simple),
             ("6.15543", 128, Strategy::SplitExact),
         ] {
-            let sampler = SamplerBuilder::new(sigma, n as u32)
+            let sampler = SamplerSpec::new(sigma, n as u32)
                 .strategy(strategy)
                 .build()
                 .unwrap();
@@ -648,7 +649,7 @@ mod tests {
         // The dense (one `u32` per micro-op) and the wide (`u16x4`)
         // encodings, each on a real sampler kernel.
         for (sigma, n, dense) in [("2", 24, true), ("6.15543", 128, false)] {
-            let sampler = SamplerBuilder::new(sigma, n).build().unwrap();
+            let sampler = SamplerSpec::new(sigma, n).build().unwrap();
             let tiled = sampler.tiled_kernel();
             let stats = tiled.stats();
             assert_eq!(stats.dense, dense, "sigma = {sigma}: encoding");
@@ -670,8 +671,8 @@ mod tests {
 
     #[test]
     fn both_strategies_agree_on_random_batches() {
-        let split = SamplerBuilder::new("2", 14).build().unwrap();
-        let simple = SamplerBuilder::new("2", 14)
+        let split = SamplerSpec::new("2", 14).build().unwrap();
+        let simple = SamplerSpec::new("2", 14)
             .strategy(Strategy::Simple)
             .build()
             .unwrap();
@@ -703,7 +704,7 @@ mod tests {
 
     #[test]
     fn sign_application_is_symmetric() {
-        let sampler = SamplerBuilder::new("2", 16).build().unwrap();
+        let sampler = SamplerSpec::new("2", 16).build().unwrap();
         let mut inputs = vec![0u64; 16];
         SplitMix64::new(5).fill_u64s(&mut inputs);
         let pos = sampler.run_batch(&inputs, 0);
@@ -716,7 +717,7 @@ mod tests {
 
     #[test]
     fn stream_matches_batches() {
-        let sampler = SamplerBuilder::new("2", 16).build().unwrap();
+        let sampler = SamplerSpec::new("2", 16).build().unwrap();
         let mut rng1 = ChaChaRng::from_u64_seed(7);
         let mut rng2 = ChaChaRng::from_u64_seed(7);
         let batch = sampler.sample_batch(&mut rng1);
@@ -728,7 +729,7 @@ mod tests {
 
     #[test]
     fn audit_reports_constant_time() {
-        let sampler = SamplerBuilder::new("2", 16).build().unwrap();
+        let sampler = SamplerSpec::new("2", 16).build().unwrap();
         let report = sampler.audit();
         assert!(report.is_constant_time());
         // Low sample bits must depend on the random input; high bits may be
@@ -741,7 +742,7 @@ mod tests {
     /// covers its fused opcodes without widening any support.
     #[test]
     fn compiled_audit_covers_fused_kernel() {
-        let sampler = SamplerBuilder::new("2", 16).build().unwrap();
+        let sampler = SamplerSpec::new("2", 16).build().unwrap();
         let program_audit = sampler.audit();
         let kernel_audit = sampler.audit_tiled();
         assert!(kernel_audit.is_constant_time());
@@ -762,7 +763,7 @@ mod tests {
     #[test]
     fn empirical_distribution_matches_exact() {
         // Chi-square-style sanity: 64k samples at sigma = 2.
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let sampler = SamplerSpec::new("2", 24).build().unwrap();
         let mut rng = ChaChaRng::from_u64_seed(13);
         let mut counts = std::collections::HashMap::new();
         let batches = 1000;
@@ -815,7 +816,7 @@ mod tests {
                 );
             }
         }
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let sampler = SamplerSpec::new("2", 24).build().unwrap();
         check::<1>(&sampler);
         check::<2>(&sampler);
         check::<4>(&sampler);
@@ -824,7 +825,7 @@ mod tests {
 
     #[test]
     fn wide_batch_matches_distribution_and_determinism() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let sampler = SamplerSpec::new("2", 24).build().unwrap();
         // Lane equivalence against run_batch on the same per-position
         // words: record w of the draw is a scalar batch record.
         let mut rng = ChaChaRng::from_u64_seed(31);
@@ -860,7 +861,7 @@ mod tests {
     /// the scalar phase and the truncated tail.
     #[test]
     fn sample_into_matches_repeated_batches() {
-        let mut sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let mut sampler = SamplerSpec::new("2", 24).build().unwrap();
         for backend in Backend::available() {
             sampler.set_backend(backend);
             for len in [
@@ -883,7 +884,7 @@ mod tests {
     /// equals one drawn through a freshly allocated scratch.
     #[test]
     fn scratch_reuse_is_equivalent() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let sampler = SamplerSpec::new("2", 24).build().unwrap();
         let mut rng_a = ChaChaRng::from_u64_seed(77);
         let mut rng_b = ChaChaRng::from_u64_seed(77);
         let mut scratch = sampler.scratch::<2>();
@@ -900,7 +901,7 @@ mod tests {
         // The lowering must actually compact the hot loop: fewer (or equal)
         // executed instructions than source ops, and a slot file much
         // smaller than the SSA register file.
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let sampler = SamplerSpec::new("2", 24).build().unwrap();
         let kernel = CompiledKernel::lower(sampler.program());
         let stats = kernel.stats();
         assert!(stats.instrs <= stats.source_ops);
@@ -914,7 +915,7 @@ mod tests {
 
     #[test]
     fn words_and_bits_accounting() {
-        let sampler = SamplerBuilder::new("2", 32).build().unwrap();
+        let sampler = SamplerSpec::new("2", 32).build().unwrap();
         assert_eq!(sampler.words_per_batch(), 33);
         assert_eq!(sampler.bits_per_sample(), 33);
     }

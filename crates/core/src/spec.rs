@@ -2,14 +2,19 @@
 
 use std::sync::Arc;
 
-use crate::builder::{BuildError, SamplerBuilder, Strategy};
+use ctgauss_knuthyao::{GaussianParams, ParamError};
+
+use crate::builder::{self, BuildError, Strategy};
 use crate::cache::{self, KernelCache};
 use crate::metrics;
 use crate::sampler::CtSampler;
-use crate::stages::{spec_fingerprint, BuildTrace, CacheDisposition};
+use crate::stages::{BuildTrace, CacheDisposition, Fingerprint, SYNTH_FORMAT_VERSION};
 
-/// A value-comparable description of one sampler configuration — the
-/// "sigma profile" multi-threaded services key requests on.
+/// The one parameter set of the Figure-4 pipeline — `(sigma, n, tau)`
+/// plus the minimization strategy — and the value-comparable identity of
+/// the sampler it builds: the "sigma profile" multi-threaded services key
+/// requests on. [`build`](Self::build) runs the pipeline and returns an
+/// owned sampler, never touching the cache.
 ///
 /// Building a [`CtSampler`] runs the whole Figure-4 pipeline (matrix
 /// enumeration, exact Boolean minimization, kernel lowering, then the
@@ -42,7 +47,8 @@ pub struct SamplerSpec {
     sigma: String,
     precision: u32,
     tail_cut: u32,
-    strategy: Strategy,
+    /// Read by the pipeline to pick its minimizer.
+    pub(crate) strategy: Strategy,
 }
 
 // The pool hands one `Arc<CtSampler>` to N worker threads; that is sound
@@ -62,19 +68,19 @@ impl SamplerSpec {
         SamplerSpec {
             sigma: sigma.to_owned(),
             precision,
-            tail_cut: ctgauss_knuthyao::GaussianParams::DEFAULT_TAIL_CUT,
+            tail_cut: GaussianParams::DEFAULT_TAIL_CUT,
             strategy: Strategy::SplitExact,
         }
     }
 
-    /// Sets the tail-cut factor `tau`.
+    /// Sets the tail-cut factor `tau` (default 13, as in the paper).
     #[must_use]
     pub fn tail_cut(mut self, tau: u32) -> Self {
         self.tail_cut = tau;
         self
     }
 
-    /// Sets the minimization strategy.
+    /// Sets the minimization strategy (default [`Strategy::SplitExact`]).
     #[must_use]
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -91,13 +97,57 @@ impl SamplerSpec {
         self.precision
     }
 
+    /// The validated Knuth-Yao parameters `(sigma, n, tau)` of this spec.
+    ///
+    /// # Errors
+    ///
+    /// [`ParamError`] for an invalid sigma literal, precision or tail cut.
+    pub fn params(&self) -> Result<GaussianParams, ParamError> {
+        GaussianParams::new(&self.sigma, self.precision, self.tail_cut)
+    }
+
     /// The spec's stable content fingerprint — the `Spec` stage
     /// fingerprint and the [`KernelCache`] key: sigma literal, precision,
     /// tail cut and strategy chained onto
     /// [`SYNTH_FORMAT_VERSION`](crate::SYNTH_FORMAT_VERSION). Equal specs
     /// always fingerprint equally, across runs and platforms.
     pub fn fingerprint(&self) -> u64 {
-        spec_fingerprint(&self.sigma, self.precision, self.tail_cut, self.strategy)
+        let mut fp = Fingerprint::new();
+        fp.u32(SYNTH_FORMAT_VERSION)
+            .str(&self.sigma)
+            .u32(self.precision)
+            .u32(self.tail_cut)
+            .u8(match self.strategy {
+                Strategy::SplitExact => 0,
+                Strategy::Simple => 1,
+            });
+        fp.value()
+    }
+
+    /// Runs the full pipeline — matrix, list `L`, sublist split, Boolean
+    /// minimization, Equation 2 recombination, bitslice compilation and
+    /// both kernel lowerings — and returns an owned sampler. Never reads
+    /// or writes the [`KernelCache`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::Params`] for invalid `(sigma, n, tau)` and
+    /// [`BuildError::StageInvariant`] if any stage fails its probe check.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ctgauss_core::{SamplerSpec, Strategy};
+    ///
+    /// let sampler = SamplerSpec::new("1.5", 24)
+    ///     .tail_cut(10)
+    ///     .strategy(Strategy::SplitExact)
+    ///     .build()
+    ///     .unwrap();
+    /// assert!(sampler.report().gates > 0);
+    /// ```
+    pub fn build(&self) -> Result<CtSampler, BuildError> {
+        Ok(builder::build_traced(self)?.0)
     }
 
     /// Builds the sampler once and wraps it for sharing across threads,
@@ -128,7 +178,8 @@ impl SamplerSpec {
 
     /// [`build_shared_traced`](Self::build_shared_traced) against an
     /// explicit cache (tests, services with their own cache layout, or
-    /// [`KernelCache::disabled`] to force synthesis).
+    /// [`KernelCache::disabled`] to force synthesis and get the
+    /// [`CacheDisposition::Bypassed`] trace of the bare pipeline).
     ///
     /// # Errors
     ///
@@ -137,22 +188,14 @@ impl SamplerSpec {
         &self,
         cache: &KernelCache,
     ) -> Result<(Arc<CtSampler>, BuildTrace), BuildError> {
-        let key = self.fingerprint();
-        if let Some((sampler, trace)) = cache::load_sampler(
-            cache,
-            key,
-            &self.sigma,
-            self.precision,
-            self.tail_cut,
-            self.strategy,
-        ) {
+        if let Some((sampler, trace)) = cache::load_sampler(cache, self) {
             metrics::CACHE_HITS.inc();
             return Ok((Arc::new(sampler), trace));
         }
-        let (sampler, mut trace) = self.builder().build_traced()?;
+        let (sampler, mut trace) = builder::build_traced(self)?;
         if cache.is_enabled() {
             metrics::CACHE_MISSES.inc();
-            let stored = cache::store_sampler(cache, key, &sampler, &trace);
+            let stored = cache::store_sampler(cache, self, &sampler, &trace);
             if stored {
                 metrics::CACHE_STORES.inc();
             } else {
@@ -164,13 +207,6 @@ impl SamplerSpec {
         }
         Ok((Arc::new(sampler), trace))
     }
-
-    /// The equivalent single-owner builder.
-    pub fn builder(&self) -> SamplerBuilder {
-        SamplerBuilder::new(&self.sigma, self.precision)
-            .tail_cut(self.tail_cut)
-            .strategy(self.strategy)
-    }
 }
 
 #[cfg(test)]
@@ -179,10 +215,10 @@ mod tests {
     use ctgauss_prng::ChaChaRng;
 
     #[test]
-    fn shared_build_equals_builder_build() {
+    fn shared_build_equals_build() {
         let spec = SamplerSpec::new("2", 16).tail_cut(10);
         let shared = spec.build_shared().unwrap();
-        let owned = spec.builder().build().unwrap();
+        let owned = spec.build().unwrap();
         let mut a = ChaChaRng::from_u64_seed(1);
         let mut b = ChaChaRng::from_u64_seed(1);
         assert_eq!(shared.sample_batch(&mut a), owned.sample_batch(&mut b));

@@ -1,8 +1,8 @@
 //! The staged synthesis pipeline's bookkeeping: stage names, stable
 //! content fingerprints, and per-build traces.
 //!
-//! [`SamplerBuilder::build_traced`](crate::SamplerBuilder::build_traced)
-//! runs the Figure-4 chain as six named passes:
+//! [`SamplerSpec::build`](crate::SamplerSpec::build) and the shared
+//! builds run the Figure-4 chain as six named passes:
 //!
 //! ```text
 //! Spec → ProbTables → MinimizedSop → Program → CompiledKernel → TiledKernel
@@ -29,8 +29,6 @@
 
 use core::fmt;
 use std::time::Duration;
-
-use crate::builder::Strategy;
 
 /// Version of the synthesis pipeline's *output semantics*, mixed into
 /// every fingerprint.
@@ -162,33 +160,12 @@ impl Default for Fingerprint {
     }
 }
 
-/// The `Spec` stage's fingerprint — the cache key: the spec's value
-/// identity chained onto [`SYNTH_FORMAT_VERSION`].
-pub(crate) fn spec_fingerprint(
-    sigma: &str,
-    precision: u32,
-    tail_cut: u32,
-    strategy: Strategy,
-) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.u32(SYNTH_FORMAT_VERSION)
-        .str(sigma)
-        .u32(precision)
-        .u32(tail_cut)
-        .u8(match strategy {
-            Strategy::SplitExact => 0,
-            Strategy::Simple => 1,
-        });
-    fp.value()
-}
-
 /// What happened at the cache layer for one build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheDisposition {
-    /// The cache was not consulted (direct [`SamplerBuilder`] build, or a
-    /// disabled cache).
-    ///
-    /// [`SamplerBuilder`]: crate::SamplerBuilder
+    /// The cache was not consulted: an owned
+    /// [`SamplerSpec::build`](crate::SamplerSpec::build), or a shared
+    /// build against [`KernelCache::disabled`](crate::KernelCache::disabled).
     Bypassed,
     /// No usable artifact was found; the full pipeline ran.
     Miss {
@@ -293,6 +270,7 @@ impl fmt::Display for BuildTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SamplerSpec, Strategy};
 
     #[test]
     fn stage_names_are_distinct_and_ordered() {
@@ -325,12 +303,18 @@ mod tests {
 
     #[test]
     fn spec_fingerprint_tracks_every_field() {
-        let base = spec_fingerprint("2", 24, 13, Strategy::SplitExact);
-        assert_eq!(base, spec_fingerprint("2", 24, 13, Strategy::SplitExact));
-        assert_ne!(base, spec_fingerprint("2.0", 24, 13, Strategy::SplitExact));
-        assert_ne!(base, spec_fingerprint("2", 25, 13, Strategy::SplitExact));
-        assert_ne!(base, spec_fingerprint("2", 24, 12, Strategy::SplitExact));
-        assert_ne!(base, spec_fingerprint("2", 24, 13, Strategy::Simple));
+        let spec = |sigma: &str, n: u32, tau: u32, strategy: Strategy| {
+            SamplerSpec::new(sigma, n)
+                .tail_cut(tau)
+                .strategy(strategy)
+                .fingerprint()
+        };
+        let base = spec("2", 24, 13, Strategy::SplitExact);
+        assert_eq!(base, SamplerSpec::new("2", 24).fingerprint(), "defaults");
+        assert_ne!(base, spec("2.0", 24, 13, Strategy::SplitExact));
+        assert_ne!(base, spec("2", 25, 13, Strategy::SplitExact));
+        assert_ne!(base, spec("2", 24, 12, Strategy::SplitExact));
+        assert_ne!(base, spec("2", 24, 13, Strategy::Simple));
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn cache_dir_env_serves_cold_warm_and_fallback_builds() {
     let _ = fs::remove_dir_all(&dir);
     env::set_var("CTGAUSS_CACHE_DIR", &dir);
     let spec = SamplerSpec::new("2", 16);
-    let fresh = stream(&spec.builder().build().unwrap());
+    let fresh = stream(&spec.build().unwrap());
 
     let (cold, trace) = spec.build_shared_traced().unwrap();
     assert_eq!(trace.cache, CacheDisposition::Miss { stored: true });

@@ -10,9 +10,19 @@ use ctgauss_prng::ChaChaRng;
 
 use crate::sign::BaseSampler;
 
-/// The paper's base-sampler parameters: sigma = 2, n = 128 bits, tau = 13.
+/// The Falcon base-distribution profile of the paper's Table 1:
+/// `D_{Z, 2, 0}` with 128-bit probabilities, tail cut 13 and split-exact
+/// minimization. Every base sampler here (and the pool's
+/// `falcon_profile_spec`) is built from it.
+pub fn base_spec() -> SamplerSpec {
+    SamplerSpec::new("2", 128)
+        .tail_cut(13)
+        .strategy(Strategy::SplitExact)
+}
+
+/// [`base_spec`]'s `(sigma, n, tau)`, for the CDT tables.
 fn base_params() -> GaussianParams {
-    GaussianParams::new("2", 128, 13).expect("paper parameters are valid")
+    base_spec().params().expect("paper parameters are valid")
 }
 
 /// Lane-block width of the signing path's batches: 8 × 64 samples per
@@ -33,18 +43,14 @@ pub struct KnuthYaoCtBase {
 }
 
 impl KnuthYaoCtBase {
-    /// Builds the sampler (split-exact strategy) and seeds its PRNG.
+    /// Builds the [`base_spec`] sampler and seeds its PRNG.
     ///
     /// Goes through [`SamplerSpec::build_shared`], so signing cold-starts
     /// from a warm [`KernelCache`](ctgauss_core::KernelCache) — the n =
     /// 128 minimization (the dominant startup cost) is skipped whenever a
     /// precompiled artifact is available.
     pub fn new(seed: u64) -> Self {
-        let sampler = SamplerSpec::new("2", 128)
-            .tail_cut(13)
-            .strategy(Strategy::SplitExact)
-            .build_shared()
-            .expect("paper parameters build");
+        let sampler = base_spec().build_shared().expect("paper parameters build");
         let scratch = sampler.scratch::<WIDE>();
         KnuthYaoCtBase {
             sampler,
@@ -189,6 +195,15 @@ mod tests {
             assert!(mean.abs() < 0.05, "{}: mean {mean}", base.name());
             assert!((var - 4.0).abs() < 0.2, "{}: var {var}", base.name());
         }
+    }
+
+    /// The kernel cache names entries by the spec fingerprint, so this
+    /// value must not move: a different one would orphan every cached
+    /// Falcon base kernel and force a cold n = 128 synthesis.
+    #[test]
+    fn base_spec_fingerprint_is_pinned() {
+        assert_eq!(base_spec().fingerprint(), 0x93a0_c72e_f067_4c58);
+        assert_eq!(base_spec(), SamplerSpec::new("2", 128));
     }
 
     #[test]

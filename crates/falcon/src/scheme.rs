@@ -175,25 +175,29 @@ fn fft_of_i64(p: &[i64]) -> Vec<C64> {
 }
 
 impl SecretKey {
-    /// Generates a key pair.
+    /// Generates a key pair. A round of 100 rejected `(f, g)` samples,
+    /// or a basis whose leaf sigmas the base sampler cannot serve, is
+    /// resampled from the continuing `rng` stream, up to 20 rounds.
     ///
     /// # Errors
     ///
-    /// Returns an error when key generation exhausts its attempts
+    /// Returns the last round's error when all 20 rounds fail
     /// (pathological randomness).
     pub fn generate<R: RandomSource>(
         params: FalconParams,
         rng: &mut R,
     ) -> Result<SecretKey, FalconError> {
+        let mut last_err = FalconError::LeafSigmaOutOfRange;
         for _ in 0..20 {
-            let basis = generate_basis(params.n, rng, 100).map_err(FalconError::KeyGen)?;
-            match Self::from_basis(params, basis) {
+            match generate_basis(params.n, rng, 100)
+                .map_err(FalconError::KeyGen)
+                .and_then(|basis| Self::from_basis(params, basis))
+            {
                 Ok(sk) => return Ok(sk),
-                Err(FalconError::LeafSigmaOutOfRange) => continue,
-                Err(e) => return Err(e),
+                Err(e) => last_err = e,
             }
         }
-        Err(FalconError::LeafSigmaOutOfRange)
+        Err(last_err)
     }
 
     /// Builds a key from an existing basis (validates leaf sigmas).

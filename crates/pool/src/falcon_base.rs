@@ -1,16 +1,14 @@
 //! Falcon integration: a pool-backed base Gaussian for the signing path.
 
-use ctgauss_core::SamplerSpec;
 use ctgauss_falcon::sign::BaseSampler;
 
 use crate::pool::{Pool, PoolError, ProfileId};
 
 /// The Falcon base-distribution profile (`D_{Z, 2, 0}`, n = 128, tau =
-/// 13 — the paper's Table 1 configuration). Register this with the pool
-/// that will back [`PooledBase`].
-pub fn falcon_profile_spec() -> SamplerSpec {
-    SamplerSpec::new("2", 128).tail_cut(13)
-}
+/// 13 — the paper's Table 1 configuration), the same spec the owned
+/// `KnuthYaoCtBase` builds. Register this with the pool that will back
+/// [`PooledBase`].
+pub use ctgauss_falcon::base::base_spec as falcon_profile_spec;
 
 /// A [`BaseSampler`] that refills its buffer from a shared [`Pool`]
 /// instead of owning a sampler and PRNG — the signing path's handle into

@@ -92,7 +92,7 @@ fn single_thread_pool_reproduces_scalar_sample_into() {
             .collect();
         // The scalar reference: one sample_into call of the profile's
         // total length over the stream the single worker owns for it.
-        let sampler = spec.builder().build().expect("builds");
+        let sampler = spec.build().expect("builds");
         let mut rng = seeds.fork_subtree(0).fork_chacha(p as u64);
         let mut reference = vec![0i32; pooled.len()];
         sampler.sample_into(&mut reference, &mut rng);
@@ -190,7 +190,7 @@ fn sharded_responses_match_per_shard_scalar_simulation() {
     // Simulate each shard: requests are assigned round-robin by sequence
     // number, and a shard's concatenated output is one scalar
     // sample_into over its (shard, profile 0) stream.
-    let sampler = test_spec().builder().build().expect("builds");
+    let sampler = test_spec().build().expect("builds");
     let seeds = SeedTree::from_u64_seed(seed);
     for w in 0..threads {
         let shard_requests: Vec<(usize, usize)> = TRACE

@@ -5,7 +5,7 @@
 //! cargo run --release --bin build_pipeline
 //! ```
 
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{SamplerSpec, Strategy};
 use ctgauss_knuthyao::{
     delta, enumerate_leaves, max_run_length, ColumnScanSampler, DdgTree, GaussianParams,
     ProbabilityMatrix,
@@ -56,7 +56,7 @@ fn main() {
 
     // Stage 4+5: minimization and compilation, both strategies.
     for strategy in [Strategy::SplitExact, Strategy::Simple] {
-        let sampler = SamplerBuilder::new(sigma, n)
+        let sampler = SamplerSpec::new(sigma, n)
             .strategy(strategy)
             .build()
             .expect("builds");
@@ -70,7 +70,7 @@ fn main() {
     }
 
     // Epilogue: the constant-time program agrees with Algorithm 1.
-    let sampler = SamplerBuilder::new(sigma, n).build().expect("builds");
+    let sampler = SamplerSpec::new(sigma, n).build().expect("builds");
     let scan = ColumnScanSampler::new(&matrix);
     let mut bits = BitBuffer::new(ChaChaRng::from_u64_seed(1));
     let mut agree = 0;

@@ -5,15 +5,15 @@
 //! cargo run --release --bin quickstart
 //! ```
 
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{SamplerSpec, Strategy};
 use ctgauss_prng::ChaChaRng;
 
 fn main() {
     // The paper's Falcon configuration: sigma = 2, 128-bit probabilities,
-    // tail cut 13. The builder runs the whole Figure 4 pipeline: Knuth-Yao
+    // tail cut 13. `build` runs the whole Figure 4 pipeline: Knuth-Yao
     // matrix -> list L -> sublist split -> exact Boolean minimization ->
     // constant-time recombination -> bitsliced program.
-    let sampler = SamplerBuilder::new("2", 128)
+    let sampler = SamplerSpec::new("2", 128)
         .tail_cut(13)
         .strategy(Strategy::SplitExact)
         .build()

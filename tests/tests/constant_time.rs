@@ -2,14 +2,14 @@
 //! dudect harness on the real sampler (the Section 5.2 experiment as a
 //! test, with thresholds slack enough for noisy CI machines).
 
-use ctgauss_core::{Backend, SamplerBuilder};
+use ctgauss_core::{Backend, SamplerSpec};
 use ctgauss_dudect::{run_test, Class, DudectConfig};
 use ctgauss_prng::{RandomSource, SplitMix64};
 
 #[test]
 fn audit_certifies_every_paper_configuration() {
     for (sigma, n) in [("1", 32), ("2", 64), ("2", 128), ("6.15543", 64)] {
-        let sampler = SamplerBuilder::new(sigma, n).build().unwrap();
+        let sampler = SamplerSpec::new(sigma, n).build().unwrap();
         let report = sampler.audit();
         assert!(report.is_constant_time(), "sigma={sigma} n={n}");
         // The program must not depend on anything but declared inputs, and
@@ -29,7 +29,7 @@ fn dudect_finds_no_leak_in_bitsliced_sampler() {
     // measures the cache, not the kernel — same discipline as the SIMD
     // executor test below). The bitsliced program must show no
     // measurable timing difference.
-    let sampler = SamplerBuilder::new("2", 64).build().unwrap();
+    let sampler = SamplerSpec::new("2", 64).build().unwrap();
     let zeros: Vec<Vec<u64>> = (0..256).map(|_| vec![0u64; 64]).collect();
     let mut rng = SplitMix64::new(1);
     let pool: Vec<Vec<u64>> = (0..256)
@@ -74,7 +74,7 @@ fn dudect_finds_no_leak_in_simd_executor_paths() {
     // principle reintroduce a leak the scalar one lacks (e.g. via
     // data-dependent micro-op replay or port-contention stalls), so each
     // dispatched path is audited on its own.
-    let sampler = SamplerBuilder::new("2", 64).build().unwrap();
+    let sampler = SamplerSpec::new("2", 64).build().unwrap();
     let widest = Backend::detect_widest();
     let width = widest.width();
     let mut backends = vec![widest];

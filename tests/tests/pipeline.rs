@@ -4,7 +4,7 @@
 //! crate.
 
 use ctgauss_cdt::{BinarySearchCdt, ByteScanCdt, CdtTable, LinearSearchCdt};
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{SamplerSpec, Strategy};
 use ctgauss_knuthyao::{ColumnScanSampler, GaussianParams, ProbabilityMatrix};
 use ctgauss_prng::{BitBuffer, ChaChaRng};
 use ctgauss_stats::{chi_square_test, discrete_gaussian_pmf, statistical_distance, Histogram};
@@ -48,7 +48,7 @@ fn column_scan_matches_exact_distribution() {
 
 #[test]
 fn bitsliced_ct_sampler_matches_exact_distribution() {
-    let s = SamplerBuilder::new(SIGMA, N).build().unwrap();
+    let s = SamplerSpec::new(SIGMA, N).build().unwrap();
     let mut rng = ChaChaRng::from_u64_seed(2);
     let mut stream = s.stream();
     assert_gaussian(&collect(|| stream.next(&mut rng)), "bitsliced split-exact");
@@ -56,7 +56,7 @@ fn bitsliced_ct_sampler_matches_exact_distribution() {
 
 #[test]
 fn bitsliced_simple_strategy_matches_exact_distribution() {
-    let s = SamplerBuilder::new(SIGMA, 32)
+    let s = SamplerSpec::new(SIGMA, 32)
         .strategy(Strategy::Simple)
         .build()
         .unwrap();
@@ -79,7 +79,7 @@ fn cdt_samplers_match_exact_distribution() {
 
 #[test]
 fn wide_batches_match_narrow_distribution() {
-    let s = SamplerBuilder::new(SIGMA, N).build().unwrap();
+    let s = SamplerSpec::new(SIGMA, N).build().unwrap();
     let mut rng = ChaChaRng::from_u64_seed(5);
     let mut h = Histogram::new(-(BOUND as i32), BOUND as i32);
     for _ in 0..(SAMPLES / 256) {
@@ -95,9 +95,7 @@ fn sampler_works_for_sqrt5_sigma() {
     // The paper's "other instance" (sigma = sqrt 5 ~ 2.2360679...): smoke
     // test that a non-trivial decimal expansion flows through the whole
     // pipeline.
-    let s = SamplerBuilder::new("2.2360679774997896", 48)
-        .build()
-        .unwrap();
+    let s = SamplerSpec::new("2.2360679774997896", 48).build().unwrap();
     let mut rng = ChaChaRng::from_u64_seed(6);
     let mut stream = s.stream();
     let bound = s.matrix().rows() - 1;
@@ -115,8 +113,8 @@ fn strategies_produce_identical_functions() {
     // Both minimization strategies must compute the same sampler function
     // wherever the Knuth-Yao walk terminates (checked through Algorithm 1
     // replay at moderate precision).
-    let split = SamplerBuilder::new("1.5", 16).build().unwrap();
-    let simple = SamplerBuilder::new("1.5", 16)
+    let split = SamplerSpec::new("1.5", 16).build().unwrap();
+    let simple = SamplerSpec::new("1.5", 16)
         .strategy(Strategy::Simple)
         .build()
         .unwrap();

@@ -1,14 +1,14 @@
-//! Workspace smoke test: the canonical builder call compiles, links, and
+//! Workspace smoke test: the canonical spec build compiles, links, and
 //! produces plausible samples. Exists to catch manifest/wiring regressions
 //! (a crate dropping out of the workspace, a renamed dependency) with a
 //! fast, dependency-light `cargo test -q` failure.
 
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::SamplerSpec;
 use ctgauss_prng::ChaChaRng;
 
 #[test]
 fn builder_smoke_sigma2_n24() {
-    let sampler = SamplerBuilder::new("2", 24)
+    let sampler = SamplerSpec::new("2", 24)
         .build()
         .expect("sigma=2, n=24 must build");
 

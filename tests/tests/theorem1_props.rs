@@ -1,7 +1,7 @@
 //! Property-based integration tests of the paper's structural claims
 //! (Theorem 1 and the pipeline invariants) across random parameters.
 
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::SamplerSpec;
 use ctgauss_knuthyao::{
     delta, enumerate_leaves, max_run_length, ColumnScanSampler, GaussianParams, ProbabilityMatrix,
 };
@@ -47,7 +47,7 @@ proptest! {
     /// for random parameters (the core correctness claim).
     #[test]
     fn ct_program_equals_walk(sigma in arb_sigma(), n in 8u32..16) {
-        let sampler = SamplerBuilder::new(&sigma, n).build().unwrap();
+        let sampler = SamplerSpec::new(&sigma, n).build().unwrap();
         let leaves = enumerate_leaves(sampler.matrix());
         for chunk in leaves.chunks(64) {
             let mut inputs = vec![0u64; n as usize];
