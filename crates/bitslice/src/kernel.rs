@@ -52,10 +52,10 @@ use core::fmt;
 use crate::{Op, Program};
 
 /// One SIMD lane word of the tiled kernel: a single `u64` for the
-/// paper's 64-lane batches, a `[u64; W]` block for `64 * W` lanes (the
-/// fixed-size array ops auto-vectorize on machines with wide vector units),
-/// or a hardware vector register wrapper from the `simd` module
-/// (dispatched via [`Backend`](crate::Backend)).
+/// paper's 64-lane batches, or a `[u64; W]` block for `64 * W` lanes. The
+/// fixed-size array ops auto-vectorize to the register width of the
+/// instruction set they are compiled for, which is how the
+/// [`Backend`](crate::Backend) AVX shims run them on ymm and zmm registers.
 ///
 /// Every implementation views the word as [`WIDTH`](Self::WIDTH) plain
 /// `u64`s: [`load`](Self::load)/[`store`](Self::store) round-trip exactly,

@@ -25,11 +25,11 @@
 //!   handlers for the dominant 2–4-op patterns, dense-packed operand
 //!   stream), so the dispatch loop fires once per tile instead of once per
 //!   op. Execution is allocation-free and generic over the lane width
-//!   ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …).
-//! * [`Backend`] — runtime-dispatched SIMD lane backends (SSE2 / AVX2 /
-//!   AVX-512 / NEON intrinsics plus the always-available portable words),
-//!   selected by CPU feature detection and overridable through the
-//!   `CTGAUSS_FORCE_BACKEND` environment variable.
+//!   ([`LaneWord`]: `u64` or `[u64; W]`).
+//! * [`Backend`] — runtime-dispatched lane backends: the portable words
+//!   compiled for the baseline ISA (always available) and the `[u64; 4]`
+//!   and `[u64; 8]` words compiled under AVX2 and AVX-512F shims, selected
+//!   by CPU feature detection.
 //! * [`audit`] / [`audit_tiled`] — static checkers that verify SSA
 //!   well-formedness and that every output is influenced only by declared
 //!   random inputs, for source programs and tiled kernels respectively.
@@ -46,9 +46,10 @@
 //! let out = interpret(&program, &[0b1100, 0b1010]);
 //! assert_eq!(out[0], 0b0100);
 //! ```
-// `deny`, not `forbid`: the `simd` module needs scoped `unsafe` for the
-// `core::arch` intrinsics behind runtime feature detection. Everything
-// else in the crate stays unsafe-free, enforced at the crate level.
+// `deny`, not `forbid`: the two AVX shim calls in `simd` carry scoped
+// `unsafe` (a `#[target_feature]` function may only be called once the
+// CPU feature is verified at runtime). Everything else in the crate stays
+// unsafe-free, enforced at the crate level.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -57,7 +58,6 @@ mod audit;
 mod compile;
 mod kernel;
 mod program;
-#[allow(unsafe_code)]
 mod simd;
 mod tile;
 
@@ -65,5 +65,5 @@ pub use audit::{audit, audit_tiled, AuditReport};
 pub use compile::compile;
 pub use kernel::{CompiledKernel, Instr, LaneWord, LoweringStats, Opcode};
 pub use program::{interpret, Op, Program};
-pub use simd::{Backend, FORCE_BACKEND_ENV};
+pub use simd::Backend;
 pub use tile::{Tile, TileStats, TiledKernel};

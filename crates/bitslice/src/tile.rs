@@ -134,11 +134,16 @@ fn ones_like<L: LaneWord>(_: &[L]) -> L {
     L::ONES
 }
 
-/// Runs `$masked` with `$slots` bound to a zeroed `&mut [$lane; N]` stack
-/// array of the smallest power-of-two tier (128 / 512 / 1024 / 2048)
-/// holding `$num_slots` lane words, or `$heap` with `$slots` bound to a
-/// zeroed `&mut [$lane]` heap buffer when even the largest tier is too
-/// small.
+/// Stack slot storage aligned to a cache line, so no `[u64; 8]` slot
+/// (one zmm register) straddles two lines.
+#[repr(align(64))]
+struct CacheAligned<T>(T);
+
+/// Runs `$masked` with `$slots` bound to a zeroed, 64-byte-aligned
+/// `&mut [$lane; N]` stack array of the smallest power-of-two tier
+/// (128 / 512 / 1024 / 2048) holding `$num_slots` lane words, or `$heap`
+/// with `$slots` bound to a zeroed `&mut [$lane]` heap buffer when even
+/// the largest tier is too small.
 ///
 /// The masked body is monomorphized once per tier, so the executor's
 /// `N - 1` index masking stays a compile-time constant in every arm. Each
@@ -148,23 +153,23 @@ macro_rules! with_stack_slots {
     ($num_slots:expr, $lane:ty, |$slots:ident| $masked:expr, |$heap_slots:ident| $heap:expr $(,)?) => {{
         match $num_slots {
             0..=128 => {
-                let mut arr = [<$lane as LaneWord>::ZERO; 128];
-                let $slots = &mut arr;
+                let mut arr = CacheAligned([<$lane as LaneWord>::ZERO; 128]);
+                let $slots = &mut arr.0;
                 $masked
             }
             129..=512 => {
-                let mut arr = [<$lane as LaneWord>::ZERO; 512];
-                let $slots = &mut arr;
+                let mut arr = CacheAligned([<$lane as LaneWord>::ZERO; 512]);
+                let $slots = &mut arr.0;
                 $masked
             }
             513..=1024 => {
-                let mut arr = [<$lane as LaneWord>::ZERO; 1024];
-                let $slots = &mut arr;
+                let mut arr = CacheAligned([<$lane as LaneWord>::ZERO; 1024]);
+                let $slots = &mut arr.0;
                 $masked
             }
             1025..=2048 => {
-                let mut arr = [<$lane as LaneWord>::ZERO; 2048];
-                let $slots = &mut arr;
+                let mut arr = CacheAligned([<$lane as LaneWord>::ZERO; 2048]);
+                let $slots = &mut arr.0;
                 $masked
             }
             n => {

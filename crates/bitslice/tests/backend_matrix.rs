@@ -9,12 +9,12 @@
 //! The matrix is backend-major: each proptest case iterates the full
 //! [`Backend::available()`] list, so the portable lane words (W = 1, 2, 4,
 //! 8) are always pinned against the oracle even on hosts where detection
-//! would pick a native ISA, and the native cells (SSE2/AVX2/AVX-512/NEON)
-//! are exercised exactly where the CPU supports them.
-//! `CTGAUSS_FORCE_BACKEND` selection is covered by a serialized env
-//! round-trip test below; the sampler tests in `ctgauss-core` hold every
-//! available backend's batches and `sample_into` streams equal to the
-//! scalar reference on real sampler kernels.
+//! would pick an AVX shim, and the AVX cells are exercised exactly where
+//! the CPU supports them. Backends run on the caller's planar buffers in
+//! place, so each case also slices those buffers out of a larger
+//! allocation at a word offset. The sampler tests in `ctgauss-core` hold
+//! every available backend's batches and `sample_into` streams equal to
+//! the scalar reference on real sampler kernels.
 
 mod common;
 
@@ -59,13 +59,16 @@ proptest! {
     /// The full backend matrix on one random (program, inputs) cell: for
     /// every available backend the tiled kernel reproduces the per-lane
     /// scalar oracle bit for bit, and the tile stream decodes back to
-    /// exactly the lowered instruction list.
+    /// exactly the lowered instruction list. The planar buffers start
+    /// `offset` words into larger allocations (for `offset` in 1..=W), so
+    /// no backend may rely on a lane word's natural alignment.
     #[test]
     fn prop_every_backend_and_engine_matches_scalar_oracle(
         seed in any::<u64>(),
         num_inputs in 1u32..6,
         len in 1usize..60,
         input_seed in any::<u64>(),
+        offset_seed in any::<usize>(),
     ) {
         let program = build_program(seed, num_inputs, len);
         let kernel = CompiledKernel::lower(&program);
@@ -75,21 +78,41 @@ proptest! {
             tiled.tiles().iter().map(|t| t.width()).sum::<usize>(),
             kernel.instrs().len()
         );
-        let num_outputs = program.outputs().len();
         for backend in Backend::available() {
             let width = backend.width();
+            let offset = 1 + offset_seed % width;
             let inputs = planar_inputs(num_inputs as usize, width, input_seed);
             let expected = oracle(&program, &inputs, width);
-            let mut got = vec![0u64; num_outputs * width];
-            backend.run_tiled(&tiled, &inputs, &mut got);
-            prop_assert_eq!(&got, &expected, "tiled kernel diverged on {}\n{}", backend, tiled);
+            let mut input_buf = vec![u64::MAX; offset + inputs.len() + width];
+            input_buf[offset..offset + inputs.len()].copy_from_slice(&inputs);
+            let mut output_buf = vec![u64::MAX; offset + expected.len() + width];
+            backend.run_tiled(
+                &tiled,
+                &input_buf[offset..offset + inputs.len()],
+                &mut output_buf[offset..offset + expected.len()],
+            );
+            prop_assert_eq!(
+                &output_buf[offset..offset + expected.len()],
+                &expected[..],
+                "tiled kernel diverged on {} at word offset {}\n{}",
+                backend,
+                offset,
+                tiled
+            );
+            let (before, rest) = output_buf.split_at(offset);
+            prop_assert!(
+                before.iter().chain(&rest[expected.len()..]).all(|&w| w == u64::MAX),
+                "{} wrote outside its output slice",
+                backend
+            );
         }
     }
 
-    /// Same-width backends are interchangeable: a portable lane word and a
-    /// native vector register of the same width produce identical planar
-    /// output buffers (this is what lets the pool map `LaneWidth` onto
-    /// whatever ISA the host offers without perturbing replay).
+    /// Same-width backends are interchangeable: a lane word compiled for
+    /// the baseline ISA and the same word compiled under an AVX shim
+    /// produce identical planar output buffers (this is what lets the pool
+    /// map `LaneWidth` onto whatever ISA the host offers without
+    /// perturbing replay).
     #[test]
     fn prop_same_width_backends_are_bit_identical(
         seed in any::<u64>(),
@@ -156,21 +179,4 @@ proptest! {
         prop_assert_eq!(TiledKernel::lower(&a), TiledKernel::lower(&b));
         prop_assert_eq!(a, b);
     }
-}
-
-/// `CTGAUSS_FORCE_BACKEND` round-trips every available backend name through
-/// [`Backend::select`]. Kept as a single sequential test (not proptest) so
-/// the process-global environment is only mutated from one place; no other
-/// test in this binary consults the variable.
-#[test]
-fn force_backend_env_round_trips_every_available_backend() {
-    for backend in Backend::available() {
-        std::env::set_var(ctgauss_bitslice::FORCE_BACKEND_ENV, backend.name());
-        assert_eq!(Backend::select(), backend, "forcing {}", backend.name());
-    }
-    // The documented friendly alias.
-    std::env::set_var(ctgauss_bitslice::FORCE_BACKEND_ENV, "portable");
-    assert_eq!(Backend::select(), Backend::Portable256);
-    std::env::remove_var(ctgauss_bitslice::FORCE_BACKEND_ENV);
-    assert!(Backend::select().is_available());
 }

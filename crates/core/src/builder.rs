@@ -41,6 +41,24 @@ pub enum Strategy {
     Simple,
 }
 
+impl Strategy {
+    /// The strategy's stable byte, as hashed into the spec fingerprint
+    /// and stored in cache artifact metadata.
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            Strategy::SplitExact => 0,
+            Strategy::Simple => 1,
+        }
+    }
+
+    /// Inverse of [`code`](Self::code); `None` for an unknown byte.
+    pub(crate) fn from_code(code: u8) -> Option<Strategy> {
+        [Strategy::SplitExact, Strategy::Simple]
+            .into_iter()
+            .find(|s| s.code() == code)
+    }
+}
+
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -506,6 +524,17 @@ fn tiled_fingerprint(prev: u64, tiled: &TiledKernel) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn strategy_codes_round_trip() {
+        for strategy in [Strategy::SplitExact, Strategy::Simple] {
+            assert_eq!(Strategy::from_code(strategy.code()), Some(strategy));
+        }
+        assert_eq!(Strategy::SplitExact.code(), 0);
+        assert_eq!(Strategy::Simple.code(), 1);
+        assert_eq!(Strategy::from_code(2), None);
+        assert_eq!(Strategy::from_code(u8::MAX), None);
+    }
 
     #[test]
     fn build_both_strategies() {

@@ -232,10 +232,7 @@ pub(crate) fn encode_meta(trace: &BuildTrace, report: &BuildReport) -> Vec<u8> {
         let fp = trace.stage(stage).map_or(0, |r| r.fingerprint);
         w.u64(fp);
     }
-    w.u8(match report.strategy {
-        Strategy::SplitExact => 0,
-        Strategy::Simple => 1,
-    });
+    w.u8(report.strategy.code());
     w.u64(report.leaves as u64);
     w.u32(report.delta);
     w.u32(report.max_run);
@@ -259,11 +256,7 @@ pub(crate) fn decode_meta(meta: &[u8]) -> Option<([u64; 6], BuildReport)> {
     for fp in &mut fps {
         *fp = r.u64().ok()?;
     }
-    let strategy = match r.u8().ok()? {
-        0 => Strategy::SplitExact,
-        1 => Strategy::Simple,
-        _ => return None,
-    };
+    let strategy = Strategy::from_code(r.u8().ok()?)?;
     let leaves = usize::try_from(r.u64().ok()?).ok()?;
     let delta = r.u32().ok()?;
     let max_run = r.u32().ok()?;

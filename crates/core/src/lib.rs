@@ -75,7 +75,7 @@ pub use builder::{BuildError, BuildReport, Strategy, SublistInfo};
 pub use cache::{inject_load_failures, injected_load_failure_hits, KernelCache};
 // Re-exported so service layers can pick lane backends without a direct
 // bitslice dependency.
-pub use ctgauss_bitslice::{Backend, FORCE_BACKEND_ENV};
+pub use ctgauss_bitslice::Backend;
 pub use metrics::attach_metrics;
 pub use sampler::{BatchScratch, CtSampler, LaneScratch, SampleStream};
 pub use spec::SamplerSpec;

@@ -81,10 +81,10 @@ pub struct CtSampler {
     matrix: ProbabilityMatrix,
     report: BuildReport,
     /// The SIMD lane backend the bulk APIs execute on, selected at
-    /// construction time ([`Backend::select`]: the widest available on
-    /// the running CPU, or the `CTGAUSS_FORCE_BACKEND` override). The
-    /// randomness draw-order contract makes the sample stream identical
-    /// across backends, so this only affects speed — never values.
+    /// construction time ([`Backend::detect_widest`]: the widest available
+    /// on the running CPU). The randomness draw-order contract makes the
+    /// sample stream identical across backends, so this only affects
+    /// speed — never values.
     backend: Backend,
 }
 
@@ -153,13 +153,13 @@ impl CtSampler {
             tiled,
             matrix,
             report,
-            backend: Backend::select(),
+            backend: Backend::detect_widest(),
         }
     }
 
     /// The SIMD lane backend the bulk sampling APIs execute on — the
-    /// widest available on the running CPU at construction time, or the
-    /// `CTGAUSS_FORCE_BACKEND` override.
+    /// widest available on the running CPU at construction time, unless
+    /// replaced through [`set_backend`](Self::set_backend).
     pub fn backend(&self) -> Backend {
         self.backend
     }

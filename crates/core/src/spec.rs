@@ -117,10 +117,7 @@ impl SamplerSpec {
             .str(&self.sigma)
             .u32(self.precision)
             .u32(self.tail_cut)
-            .u8(match self.strategy {
-                Strategy::SplitExact => 0,
-                Strategy::Simple => 1,
-            });
+            .u8(self.strategy.code());
         fp.value()
     }
 

@@ -23,7 +23,9 @@ use crate::worker::{spawn_worker, Job, WorkerContext, WorkerStats};
 ///
 /// The width is a runtime choice: each worker runs the sampler's lane
 /// path on the preferred backend of that width
-/// ([`Backend::select_for_width`](ctgauss_core::Backend::select_for_width)). By
+/// ([`Backend::select_for_width`](ctgauss_core::Backend::select_for_width):
+/// the AVX2 or AVX-512F shim where the CPU has it, else the portable
+/// word). By
 /// the draw-order contract every width produces the *same* per-worker
 /// sample stream; the width only trades dispatch amortization against
 /// tail-batch latency.

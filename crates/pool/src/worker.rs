@@ -396,9 +396,9 @@ pub(crate) struct WorkerContext {
 /// Spawns worker `ctx.index` at the configured lane width, drawing from
 /// the shard's `epoch` streams. The width is
 /// mapped onto the preferred available SIMD [`Backend`] of that exact
-/// width (`CTGAUSS_FORCE_BACKEND` wins when it matches), so `LaneWidth`
-/// keeps its meaning — batch units of `64 * W` samples — while the
-/// kernel runs on real vector registers where the CPU has them. The
+/// width, so `LaneWidth` keeps its meaning — batch units of `64 * W`
+/// samples — while the kernel runs on the widest vector registers the
+/// CPU has for that width. The
 /// draw-order contract keeps the response streams identical across
 /// backends of the same width (and, via the carry coalescer, across
 /// widths too).

@@ -68,7 +68,7 @@ fn dudect_finds_no_leak_in_bitsliced_sampler() {
 fn dudect_finds_no_leak_in_simd_executor_paths() {
     // Same experiment as above, but through the backend-dispatched lane
     // executor on the widest backend the host offers (AVX-512 / AVX2 /
-    // NEON / portable, in preference order) *and* on the always-available
+    // portable, in preference order) *and* on the always-available
     // portable word of the same width — the two paths the production
     // `sample_into` schedule actually takes. A vectorized kernel could in
     // principle reintroduce a leak the scalar one lacks (e.g. via
